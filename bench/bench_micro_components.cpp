@@ -11,11 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <functional>
-#include <sstream>
-#include <thread>
 
-#include "advisor/serialization.h"
 #include "advisor/workload_monitor.h"
 #include "bench_common.h"
 #include "costmodel/cost_model.h"
@@ -575,144 +571,6 @@ void RunEngineKernel() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Training kernel: the actor/learner pipeline at 1/2/8 threads.
-//
-// Fixed 8 actor slots; in deterministic mode the run digests — episode
-// rewards AND the final serialized agent weights — MUST be bit-identical at
-// every thread count (the slot count, never the thread count, fixes the
-// episode mapping, RNG streams, and shard-merge order). Also records the
-// fast (work-stealing) mode and the new training-throughput gauges. Emits
-// BENCH_training.json.
-
-void RunTrainingKernel() {
-  bench::BenchReport report("training");
-  report.set_seed(42);
-  report.set_schema("micro");
-  report.set_engine_profile(bench::EngineName(bench::EngineKind::kInMemory));
-  auto tb = bench::MakeTestbed("micro", bench::EngineKind::kInMemory,
-                               bench::DefaultFraction("micro"));
-
-  const int slots = 8;
-  const int episodes = std::max(2 * slots, bench::Scaled(64));
-  report.Note("actor_slots", std::to_string(slots));
-  report.Note("episodes", std::to_string(episodes));
-  // Worker-count sweeps on few-core hosts cannot show throughput scaling;
-  // the sweep is kept for its bit-identity checks, which hold at any core
-  // count.
-  report.Note("scaling_waiver",
-              "training speedup not asserted: " +
-                  std::to_string(std::thread::hardware_concurrency()) +
-                  " hardware thread(s); deterministic-mode digest equality "
-                  "asserted instead");
-
-  auto train = [&](int threads, rl::ActorLearnerConfig::Mode mode,
-                   rl::TrainingResult* out, std::string* weights) {
-    advisor::AdvisorConfig config;
-    config.offline_episodes = episodes;
-    config.dqn.tmax = 16;
-    config.dqn.FitEpsilonSchedule(episodes);
-    config.seed = 42;
-    advisor::PartitioningAdvisor advisor(tb.schema.get(), *tb.workload,
-                                         config);
-    EvalContext ctx(threads, 7);
-    rl::ActorLearnerConfig al;
-    al.num_actors = slots;
-    al.mode = mode;
-    auto t0 = std::chrono::steady_clock::now();
-    *out = advisor.TrainOffline(tb.exact_model.get(), al, nullptr, &ctx);
-    auto t1 = std::chrono::steady_clock::now();
-    std::ostringstream os;
-    LPA_CHECK(advisor::SaveAgentSnapshot(*advisor.agent(), os).ok());
-    *weights = os.str();
-    return std::chrono::duration<double>(t1 - t0).count();
-  };
-  auto weight_digest = [](const std::string& snapshot) {
-    std::ostringstream os;
-    os << std::hex << std::hash<std::string>{}(snapshot);
-    return os.str();
-  };
-
-  TablePrinter table({"threads", "mode", "sec", "train steps", "steps/sec",
-                      "reward digest", "weight digest"});
-  std::string base_rewards, base_weights;
-  double serial_secs = 0.0;
-  for (int threads : {1, 2, 8}) {
-    rl::TrainingResult result;
-    std::string weights;
-    double secs = train(threads, rl::ActorLearnerConfig::Mode::kDeterministic,
-                        &result, &weights);
-    std::string rd = bench::RewardDigest(result.episode_best_rewards);
-    std::string wd = weight_digest(weights);
-    if (threads == 1) {
-      base_rewards = rd;
-      base_weights = wd;
-      serial_secs = secs;
-      report.Note("deterministic_serial_sec", FormatDouble(secs, 3));
-    }
-    // The determinism contract: same slots, any thread count, same run.
-    LPA_CHECK(rd == base_rewards);
-    LPA_CHECK(wd == base_weights);
-    table.AddRow({std::to_string(threads), "deterministic",
-                  FormatDouble(secs, 3), std::to_string(result.train_steps),
-                  FormatDouble(static_cast<double>(result.train_steps) / secs,
-                               1),
-                  rd, wd});
-  }
-  report.Note("deterministic_digests_identical", "true");
-  {
-    rl::TrainingResult result;
-    std::string weights;
-    double secs = train(8, rl::ActorLearnerConfig::Mode::kFast, &result,
-                        &weights);
-    table.AddRow({"8", "fast", FormatDouble(secs, 3),
-                  std::to_string(result.train_steps),
-                  FormatDouble(static_cast<double>(result.train_steps) / secs,
-                               1),
-                  bench::RewardDigest(result.episode_best_rewards),
-                  weight_digest(weights)});
-    report.Note("fast_mode_sec", FormatDouble(secs, 3));
-    report.Note("fast_vs_serial_speedup", FormatDouble(serial_secs / secs, 2));
-  }
-  report.Table(
-      "Actor/learner kernel: 8 slots at 1/2/8 threads (deterministic-mode "
-      "digests must be identical; fast mode has no digest contract)",
-      table);
-
-  // Training-throughput gauges + the replay-shard depth histogram, as left
-  // by the last run above.
-  auto& reg = telemetry::MetricsRegistry::Global();
-  report.Note("rl_train_steps_per_sec",
-              FormatDouble(
-                  reg.GetGauge("rl.train_steps_per_sec.value").value(), 1));
-  report.Note("rl_actor_utilization",
-              FormatDouble(reg.GetGauge("rl.actor_utilization.value").value(),
-                           3));
-  {
-    auto& depth = reg.GetHistogram(
-        "rl.replay_shard_depth",
-        {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
-    TablePrinter shard({"bucket <=", "count"});
-    std::vector<uint64_t> counts = depth.bucket_counts();
-    for (size_t i = 0; i < depth.bounds().size(); ++i) {
-      if (counts[i] > 0) {
-        shard.AddRow({FormatDouble(depth.bounds()[i], 0),
-                      std::to_string(counts[i])});
-      }
-    }
-    if (counts.size() > depth.bounds().size() &&
-        counts[depth.bounds().size()] > 0) {
-      shard.AddRow({"inf", std::to_string(counts[depth.bounds().size()])});
-    }
-    report.Note("replay_shard_depth_observations",
-                std::to_string(depth.count()));
-    report.Note("replay_shard_depth_mean", FormatDouble(depth.mean(), 2));
-    report.Table("Replay shard depth at drain time (observations per shard "
-                 "per drain)",
-                 shard);
-  }
-}
-
 }  // namespace lpa
 
 int main(int argc, char** argv) {
@@ -723,6 +581,5 @@ int main(int argc, char** argv) {
   lpa::RunWorkloadCostKernel();
   lpa::RunStorageKernel();
   lpa::RunEngineKernel();
-  lpa::RunTrainingKernel();
   return 0;
 }

@@ -95,18 +95,6 @@ class PartitioningAdvisor {
                                   rl::FrequencySampler sampler = nullptr,
                                   EvalContext* ctx = nullptr);
 
-  /// \brief Phase 1 through the actor/learner pipeline
-  /// (rl::EpisodeTrainer::TrainActorLearner): `actor_learner.num_actors`
-  /// episode actors feed a sharded replay buffer while the learner runs the
-  /// SGD steps. In the default deterministic mode results are bit-identical
-  /// for a fixed actor count at any thread count — but they are a different
-  /// (equally valid) training run than the serial TrainOffline's, whose
-  /// step-interleaved digests stay untouched.
-  rl::TrainingResult TrainOffline(const costmodel::CostModel* model,
-                                  const rl::ActorLearnerConfig& actor_learner,
-                                  rl::FrequencySampler sampler = nullptr,
-                                  EvalContext* ctx = nullptr);
-
   /// \brief Phase 2 (Sec 4.2): refine against measured runtimes. ε restarts
   /// at the value the offline schedule reaches after half its episodes.
   /// The online env never evaluates in parallel, but `ctx` still supplies

@@ -46,14 +46,6 @@ EvalContext* AdvisorHandle::FallbackCtx() {
 Result<rl::TrainingResult> AdvisorHandle::Train(const TrainSpec& spec,
                                                 EvalContext* ctx) {
   const AdvisorConfig& config = advisor_->config();
-  if (spec.actors < 1) {
-    return Status::InvalidArgument("TrainSpec::actors must be >= 1");
-  }
-  if (spec.actors > 1 && spec.phase != TrainSpec::Phase::kOffline) {
-    return Status::InvalidArgument(
-        "actor/learner training (actors > 1) is offline-only; " +
-        PhaseName(spec.phase) + " environments are serial");
-  }
   switch (spec.phase) {
     case TrainSpec::Phase::kOffline: {
       if (spec.cost_model == nullptr) {
@@ -63,16 +55,8 @@ Result<rl::TrainingResult> AdvisorHandle::Train(const TrainSpec& spec,
       if (spec.episodes >= 0) {
         advisor_->mutable_config().offline_episodes = spec.episodes;
       }
-      rl::TrainingResult result;
-      if (spec.actors > 1) {
-        rl::ActorLearnerConfig al;
-        al.num_actors = spec.actors;
-        al.mode = spec.fast_actors ? rl::ActorLearnerConfig::Mode::kFast
-                                   : rl::ActorLearnerConfig::Mode::kDeterministic;
-        result = advisor_->TrainOffline(spec.cost_model, al, spec.sampler, ctx);
-      } else {
-        result = advisor_->TrainOffline(spec.cost_model, spec.sampler, ctx);
-      }
+      rl::TrainingResult result =
+          advisor_->TrainOffline(spec.cost_model, spec.sampler, ctx);
       // TrainOffline built the advisor's own simulation; it becomes the
       // default environment, so drop any previously bound one.
       cost_model_ = spec.cost_model;

@@ -26,50 +26,6 @@ struct DqnMetrics {
 
 }  // namespace
 
-std::vector<double> DqnPolicy::QValues(const std::vector<double>& state_enc,
-                                       const std::vector<int>& legal) const {
-  std::vector<double> q(legal.size());
-  if (mode_ == QNetworkMode::kMultiHead) {
-    auto all = q_.Forward(state_enc);
-    for (size_t i = 0; i < legal.size(); ++i) {
-      q[i] = all[static_cast<size_t>(legal[i])];
-    }
-  } else {
-    const size_t input_dim = static_cast<size_t>(q_.input_dim());
-    nn::Matrix batch(legal.size(), input_dim);
-    for (size_t i = 0; i < legal.size(); ++i) {
-      double* dst = batch.row(i);
-      std::copy(state_enc.begin(), state_enc.end(), dst);
-      const double* a = action_enc_->row(static_cast<size_t>(legal[i]));
-      std::copy(a, a + action_enc_->cols(), dst + state_dim_);
-    }
-    nn::Matrix out = q_.Forward(batch);
-    for (size_t i = 0; i < legal.size(); ++i) q[i] = out.at(i, 0);
-  }
-  return q;
-}
-
-int DqnPolicy::SelectAction(const std::vector<double>& state_enc,
-                            const std::vector<int>& legal, double epsilon,
-                            Rng* rng) const {
-  LPA_CHECK(!legal.empty());
-  if (rng->Uniform() < epsilon) {
-    return legal[static_cast<size_t>(
-        rng->UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
-  }
-  return GreedyAction(state_enc, legal);
-}
-
-int DqnPolicy::GreedyAction(const std::vector<double>& state_enc,
-                            const std::vector<int>& legal) const {
-  auto q = QValues(state_enc, legal);
-  size_t best = 0;
-  for (size_t i = 1; i < q.size(); ++i) {
-    if (q[i] > q[best]) best = i;
-  }
-  return legal[best];
-}
-
 DqnAgent::DqnAgent(const partition::Featurizer* featurizer,
                    const partition::ActionSpace* actions, DqnConfig config)
     : featurizer_(featurizer),
@@ -178,14 +134,6 @@ int DqnAgent::GreedyAction(const std::vector<double>& state_enc,
   return legal[best];
 }
 
-DqnPolicy DqnAgent::SnapshotPolicy() const {
-  return DqnPolicy(*q_, config_.mode,
-                   config_.mode == QNetworkMode::kStateActionInput
-                       ? &action_enc_
-                       : nullptr,
-                   featurizer_->state_dim());
-}
-
 void DqnAgent::DecayEpsilon() {
   epsilon_ = std::max(epsilon_ * config_.epsilon_decay, config_.epsilon_min);
 }
@@ -193,13 +141,8 @@ void DqnAgent::DecayEpsilon() {
 void DqnAgent::Observe(Transition t) { replay_.Add(std::move(t)); }
 
 double DqnAgent::TrainStep(Rng* rng, ThreadPool* pool) {
-  return TrainStepFrom(replay_, rng, pool);
-}
-
-double DqnAgent::TrainStepFrom(const ReplayBuffer& replay, Rng* rng,
-                               ThreadPool* pool) {
-  if (replay.size() < static_cast<size_t>(config_.batch_size)) return 0.0;
-  auto batch = replay.Sample(static_cast<size_t>(config_.batch_size), rng);
+  if (replay_.size() < static_cast<size_t>(config_.batch_size)) return 0.0;
+  auto batch = replay_.Sample(static_cast<size_t>(config_.batch_size), rng);
 
   // Compute TD targets r + gamma * max_a' Q_target(s', a') — one stacked
   // matrix pass per minibatch in either network mode.
@@ -267,7 +210,7 @@ double DqnAgent::TrainStepFrom(const ReplayBuffer& replay, Rng* rng,
   auto& dm = DqnMetrics::Get();
   dm.train_steps.Add();
   dm.loss.Set(loss);
-  dm.replay_size.Set(static_cast<double>(replay.size()));
+  dm.replay_size.Set(static_cast<double>(replay_.size()));
   return loss;
 }
 

@@ -54,49 +54,6 @@ struct DqnConfig {
   }
 };
 
-// Transition and ReplayBuffer historically lived here; they moved to
-// rl/replay.h with the sharded actor/learner replay and are re-exported by
-// the include above.
-
-/// \brief Immutable frozen copy of an agent's online Q-network.
-///
-/// Episode actors act against a DqnPolicy instead of the live agent: the
-/// snapshot is taken once (per round in deterministic mode, per publish
-/// interval in fast mode), so the learner can keep writing weights without
-/// ever racing an actor's forward pass. Selection semantics — ε ordering,
-/// first-max tie-break — replicate DqnAgent bit for bit.
-class DqnPolicy {
- public:
-  /// \brief Q-values of the given legal actions at an encoded state.
-  std::vector<double> QValues(const std::vector<double>& state_enc,
-                              const std::vector<int>& legal) const;
-
-  /// \brief ε-greedy choice among `legal`; draws rng->Uniform() first (the
-  /// exact draw order of DqnAgent::SelectAction).
-  int SelectAction(const std::vector<double>& state_enc,
-                   const std::vector<int>& legal, double epsilon,
-                   Rng* rng) const;
-
-  int GreedyAction(const std::vector<double>& state_enc,
-                   const std::vector<int>& legal) const;
-
- private:
-  friend class DqnAgent;
-  DqnPolicy(nn::Mlp q, QNetworkMode mode, const nn::Matrix* action_enc,
-            int state_dim)
-      : q_(std::move(q)),
-        mode_(mode),
-        action_enc_(action_enc),
-        state_dim_(state_dim) {}
-
-  nn::Mlp q_;
-  QNetworkMode mode_;
-  /// Borrowed from the owning agent; the action space is static, so the
-  /// matrix never changes after agent construction. Null in multi-head mode.
-  const nn::Matrix* action_enc_;
-  int state_dim_;
-};
-
 /// \brief Deep-Q agent over the partitioning action space (Sec 3).
 ///
 /// Owns the online Q-network and the target network; exposes ε-greedy action
@@ -132,10 +89,6 @@ class DqnAgent {
   int SelectAction(const std::vector<double>& state_enc,
                    const std::vector<int>& legal, Rng* rng) const;
 
-  /// \brief Frozen copy of the online network for lock-free actor inference
-  /// (see DqnPolicy). Cheap relative to an episode: one Mlp copy.
-  DqnPolicy SnapshotPolicy() const;
-
   /// \brief The online Q-network (read-only; e.g. the serving-side
   /// quantizer). In multi-head mode its output row is indexed by global
   /// action id.
@@ -150,20 +103,12 @@ class DqnAgent {
 
   /// \brief One minibatch SGD step + target soft update (lines 10-13).
   /// No-op until the buffer holds a full batch. Returns the loss (0 if
-  /// skipped). `pool` (optional) parallelizes the network forward/backward
-  /// passes; results are bit-identical at every thread count.
+  /// skipped). The TD targets of the whole minibatch are evaluated as one
+  /// stacked matrix pass in both network modes (state-action mode stacks
+  /// every transition's legal next-actions into a single GEMM). `pool`
+  /// (optional) parallelizes the network forward/backward passes; results
+  /// are bit-identical at every thread count.
   double TrainStep(Rng* rng, ThreadPool* pool = nullptr);
-
-  /// \brief TrainStep against an external replay buffer — the actor/learner
-  /// pipeline's entry point, where the learner owns the merged buffer
-  /// instead of the agent. Same no-op-until-full-batch rule; the TD targets
-  /// of the whole minibatch are evaluated as one stacked matrix pass in both
-  /// network modes (state-action mode stacks every transition's legal
-  /// next-actions into a single GEMM instead of one forward per transition —
-  /// row values are bit-identical either way, the GEMM computes rows
-  /// independently in a fixed accumulation order).
-  double TrainStepFrom(const ReplayBuffer& replay, Rng* rng,
-                       ThreadPool* pool = nullptr);
 
   /// \brief Copy the Q- and target-network weights from another agent with
   /// the same architecture (used to warm-start committee experts from the

@@ -28,14 +28,10 @@ TrainerMetrics& TrainerMetrics::Get() {
       reg.GetGauge("rl.epsilon.value"),
       reg.GetGauge("rl.env_evals_per_sec.value"),
       reg.GetGauge("rl.train_steps_per_sec.value"),
-      reg.GetGauge("rl.actor_utilization.value"),
       // Rewards are 1 - cost/normalization, i.e. bounded above by 1.
       reg.GetHistogram("rl.episode_reward.value",
                        {-8.0, -4.0, -2.0, -1.0, -0.5, -0.25, 0.0, 0.125,
-                        0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0}),
-      reg.GetHistogram("rl.replay_shard_depth",
-                       {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
-                        256.0, 512.0, 1024.0})};
+                        0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0})};
   return *m;
 }
 

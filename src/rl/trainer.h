@@ -24,45 +24,9 @@ struct TrainingResult {
   double normalization = 1.0;
   /// Total environment evaluations.
   size_t steps = 0;
-  /// Learner SGD steps actually executed (0 until the replay buffer holds a
-  /// full minibatch). Filled by TrainActorLearner; the serial Train loop
-  /// reports it through the rl.train_steps.count telemetry counter instead.
+  /// SGD steps actually executed (0 until the replay buffer holds a full
+  /// minibatch); also counted by the rl.train_steps.count telemetry counter.
   size_t train_steps = 0;
-};
-
-/// \brief Configuration of the actor/learner training pipeline
-/// (EpisodeTrainer::TrainActorLearner).
-struct ActorLearnerConfig {
-  /// Logical episode-actor slots. The slot count — never the thread count —
-  /// fixes the episode→actor mapping, the per-slot RNG streams, and the
-  /// shard-merge order, so deterministic-mode digests depend only on this
-  /// number: 8 slots on 1 thread and 8 slots on 8 threads are bit-identical.
-  int num_actors = 4;
-
-  enum class Mode {
-    /// Synchronous rounds: up to `num_actors` episodes run against a frozen
-    /// policy snapshot, a barrier, then the learner merges the shards in
-    /// slot order and trains. Seeded results are bit-identical at every
-    /// thread count (the PR 2-4 discipline). The default.
-    kDeterministic,
-    /// Work-stealing: actors claim episode indices from a shared counter and
-    /// stream transitions while the learner trains concurrently, publishing
-    /// fresh policy snapshots every `publish_interval` SGD steps. No merge
-    /// barrier, best wall-clock — but episode→actor assignment depends on
-    /// timing, so digests are NOT stable across runs or thread counts.
-    kFast,
-  };
-  Mode mode = Mode::kDeterministic;
-
-  /// Learner SGD steps per drained transition (the serial loop does 1).
-  int steps_per_transition = 1;
-
-  /// Per-shard SPSC ring capacity; 0 sizes each shard to one episode
-  /// (tmax transitions) — exactly a deterministic round's worst case.
-  size_t shard_capacity = 0;
-
-  /// kFast only: SGD steps between policy snapshot publishes.
-  int publish_interval = 64;
 };
 
 /// \brief Result of the greedy inference rollout (Sec 6).
@@ -98,28 +62,6 @@ class EpisodeTrainer {
   TrainingResult Train(DqnAgent* agent, PartitioningEnv* env,
                        const FrequencySampler& sampler, int episodes,
                        EvalContext* ctx) const;
-
-  /// \brief Actor/learner variant of Train (defined in actor_learner.cpp):
-  /// `config.num_actors` episode actors — each with a forked RNG stream and
-  /// its own WorkloadCostTracker-backed environment clone — generate
-  /// transitions into a sharded replay buffer (one lock-free SPSC shard per
-  /// actor slot) while the learner drains the shards into the central buffer
-  /// and runs minibatch SGD with stacked-GEMM target evaluation.
-  ///
-  /// Episode e draws ε from the episode-indexed schedule
-  /// max(ε₀·decay^e, ε_min) (ε₀ = the agent's ε on entry), so exploration is
-  /// independent of which actor runs the episode. In deterministic mode the
-  /// result — episode rewards AND final weights — is bit-identical for a
-  /// fixed `num_actors` at any thread count; it intentionally differs from
-  /// the serial Train's interleaving (one pipeline round trains after a full
-  /// round of episodes, the serial loop trains after every step). Actors run
-  /// concurrently only when the environment `SupportsParallelEval()`;
-  /// otherwise the slots execute sequentially with identical digests.
-  TrainingResult TrainActorLearner(DqnAgent* agent, PartitioningEnv* env,
-                                   const FrequencySampler& sampler,
-                                   int episodes,
-                                   const ActorLearnerConfig& config,
-                                   EvalContext* ctx) const;
 
   /// \brief Greedy rollout from s0; returns the best-reward state on the
   /// trajectory, not the final state (the agent oscillates around the

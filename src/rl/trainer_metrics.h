@@ -4,12 +4,10 @@
 
 namespace lpa::rl::internal {
 
-/// \brief Training-path telemetry shared by the serial trainer
-/// (trainer.cpp), the actor/learner pipeline (actor_learner.cpp), and the
-/// sharded replay buffer (replay.cpp). Cached-static like every other
-/// metrics struct; registering here (rather than per call site) also means
-/// every training bench manifest exports the full set, zero-valued when a
-/// path did not run.
+/// \brief Training-path telemetry of the episode trainer (trainer.cpp).
+/// Cached-static like every other metrics struct; registering here (rather
+/// than per call site) also means every training bench manifest exports the
+/// full set.
 struct TrainerMetrics {
   telemetry::Counter& episodes;
   telemetry::Counter& env_evals;
@@ -28,14 +26,9 @@ struct TrainerMetrics {
   telemetry::Counter& rollout_cutoffs;
   telemetry::Gauge& epsilon;
   telemetry::Gauge& env_evals_per_sec;
-  /// Learner SGD steps per wall-clock second of the last training run.
+  /// SGD steps per wall-clock second of the last training run.
   telemetry::Gauge& train_steps_per_sec;
-  /// Fraction of actor-slot wall time spent generating transitions during
-  /// the last actor/learner run (1.0 = every slot busy the whole run).
-  telemetry::Gauge& actor_utilization;
   telemetry::Histogram& episode_reward;
-  /// Replay-shard queue depths sampled at every learner drain.
-  telemetry::Histogram& replay_shard_depth;
 
   static TrainerMetrics& Get();
 };

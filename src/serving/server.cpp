@@ -1,5 +1,6 @@
 #include "serving/server.h"
 
+#include <string>
 #include <utility>
 
 #include "telemetry/registry.h"
@@ -180,18 +181,33 @@ void AdvisorServer::WorkerLoop() {
       continue;
     }
 
+    auto fail = [&](Status status) {
+      failed_.fetch_add(1, std::memory_order_relaxed);
+      metrics.failed.Add();
+      Respond(&request,
+              SuggestResponse{std::move(status), 0, {},
+                              Seconds(Clock::now() - request.submitted_at),
+                              queue_seconds});
+    };
     ModelRegistry* registry =
         request.registry != nullptr ? request.registry : registry_;
     PublishedModel published =
         registry != nullptr ? registry->Current() : PublishedModel{};
     if (published.model == nullptr) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      metrics.failed.Add();
-      Respond(&request,
-              SuggestResponse{
-                  Status::FailedPrecondition("no model published"), 0, {},
-                  Seconds(Clock::now() - request.submitted_at),
-                  queue_seconds});
+      fail(Status::FailedPrecondition("no model published"));
+      continue;
+    }
+    // A vector wider than the model's workload has no slot for its extra
+    // entries: the caller's error, not a reason to take the server down. A
+    // shorter one is served with the missing entries as 0, so clients of a
+    // model that gained queries in a schema change keep working.
+    const size_t num_queries = static_cast<size_t>(
+        published.model->advisor().workload().num_queries());
+    if (request.frequencies.size() > num_queries) {
+      fail(Status::InvalidArgument(
+          "frequency vector has " + std::to_string(request.frequencies.size()) +
+          " entries; the model serves " + std::to_string(num_queries) +
+          " queries"));
       continue;
     }
 

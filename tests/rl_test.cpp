@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "rl/offline_env.h"
 #include "rl/online_env.h"
+#include "rl/replay.h"
 #include "schema/catalogs.h"
 #include "workload/benchmarks.h"
 
@@ -16,6 +19,73 @@ using partition::ActionSpace;
 using partition::EdgeSet;
 using partition::Featurizer;
 using partition::PartitioningState;
+
+Transition MakeTransition(int action_id) {
+  Transition t;
+  t.state_enc = {static_cast<double>(action_id), 1.0};
+  t.action_id = action_id;
+  t.reward = 0.5 * action_id;
+  t.next_enc = {static_cast<double>(action_id) + 1.0, 1.0};
+  t.next_legal = {0, action_id};
+  return t;
+}
+
+TEST(ReplayBufferTest, FillsToCapacityThenEvictsOldest) {
+  ReplayBuffer buffer(4);
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_EQ(buffer.capacity(), 4u);
+
+  for (int i = 0; i < 4; ++i) buffer.Add(MakeTransition(i));
+  EXPECT_EQ(buffer.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(buffer.at(i).action_id, static_cast<int>(i));
+  }
+
+  // One past capacity: the oldest transition (action 0) is overwritten in
+  // place; size stays pinned at capacity.
+  buffer.Add(MakeTransition(4));
+  EXPECT_EQ(buffer.size(), 4u);
+  EXPECT_EQ(buffer.at(0).action_id, 4);
+  EXPECT_EQ(buffer.at(1).action_id, 1);
+
+  // A full extra lap overwrites every slot again.
+  for (int i = 5; i < 9; ++i) buffer.Add(MakeTransition(i));
+  EXPECT_EQ(buffer.size(), 4u);
+  std::vector<int> stored;
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    stored.push_back(buffer.at(i).action_id);
+  }
+  EXPECT_EQ(stored, (std::vector<int>{8, 5, 6, 7}));
+
+  // Sampling never returns an evicted transition (actions 0..4).
+  Rng rng(1);
+  for (const Transition* t : buffer.Sample(16, &rng)) {
+    EXPECT_GE(t->action_id, 5);
+  }
+}
+
+TEST(ReplayBufferTest, SampleAtExactCapacityBoundary) {
+  ReplayBuffer buffer(3);
+  for (int i = 0; i < 3; ++i) buffer.Add(MakeTransition(i));
+
+  Rng rng(42);
+  // Sampling is with replacement, so counts beyond size are legal.
+  std::vector<const Transition*> sample = buffer.Sample(10, &rng);
+  ASSERT_EQ(sample.size(), 10u);
+  for (const Transition* t : sample) {
+    ASSERT_NE(t, nullptr);
+    EXPECT_GE(t->action_id, 0);
+    EXPECT_LT(t->action_id, 3);
+  }
+
+  // Seeded sampling is deterministic.
+  Rng rng_a(7), rng_b(7);
+  std::vector<const Transition*> a = buffer.Sample(6, &rng_a);
+  std::vector<const Transition*> b = buffer.Sample(6, &rng_b);
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i]->action_id, b[i]->action_id);
+  }
+}
 
 class SsbRlTest : public ::testing::Test {
  protected:
@@ -49,21 +119,6 @@ class SsbRlTest : public ::testing::Test {
   OfflineEnv env_;
   EpisodeTrainer trainer_;
 };
-
-TEST_F(SsbRlTest, ReplayBufferRingSemantics) {
-  ReplayBuffer buffer(4);
-  for (int i = 0; i < 6; ++i) {
-    Transition t;
-    t.action_id = i;
-    buffer.Add(std::move(t));
-  }
-  EXPECT_EQ(buffer.size(), 4u);
-  Rng rng(1);
-  auto sample = buffer.Sample(16, &rng);
-  for (const Transition* t : sample) {
-    EXPECT_GE(t->action_id, 2);  // 0 and 1 were evicted
-  }
-}
 
 TEST_F(SsbRlTest, EpsilonGreedySelection) {
   DqnAgent agent(&featurizer_, &actions_, SmallConfig());

@@ -334,6 +334,43 @@ TEST_F(ServingTest, RequestsFailCleanlyWithNoModelPublished) {
   EXPECT_EQ(server.stats().failed, 1u);
 }
 
+TEST_F(ServingTest, TooWideFrequencyVectorFailsWithoutStoppingTheServer) {
+  ModelRegistry registry;
+  registry.Publish(MakeModel());
+  ServerConfig config;
+  config.worker_threads = 1;
+  AdvisorServer server(&registry, config);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<double> too_wide = Mix(0);
+  too_wide.push_back(1.0);
+  SuggestResponse wide = server.Suggest(too_wide);
+  EXPECT_EQ(wide.status.code(), Status::Code::kInvalidArgument);
+  EXPECT_FALSE(wide.result.has_value());
+
+  // A shorter vector is served as if padded with zeros, so clients of a
+  // model that gained queries in a schema change keep working.
+  std::vector<double> too_short = Mix(0);
+  too_short.pop_back();
+  std::vector<double> padded = too_short;
+  padded.push_back(0.0);
+  SuggestResponse narrow = server.Suggest(too_short);
+  ASSERT_TRUE(narrow.status.ok()) << narrow.status.ToString();
+  EXPECT_EQ(narrow.result->actions, SerialSuggest(padded).actions);
+
+  // The worker survives and serves the next well-formed request.
+  SuggestResponse served = server.Suggest(Mix(1));
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  EXPECT_EQ(served.result->actions, SerialSuggest(Mix(1)).actions);
+  server.Stop();
+
+  auto stats = server.stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.rejected + stats.shed + stats.failed);
+}
+
 // ---------------------------------------------------------------------------
 // Shutdown semantics
 

@@ -9,7 +9,7 @@
 #   $ tools/check.sh fleet           # TSan fleet tests + 100-tenant smoke
 #   $ tools/check.sh autopilot       # TSan autopilot tests + bench smoke
 #   $ tools/check.sh storage         # ASan+UBSan storage/engine + compression smoke
-#   $ tools/check.sh train           # TSan actor/learner tests + training kernel
+#   $ tools/check.sh train           # TSan training + quantized-serving tests
 #   $ tools/check.sh search          # ASan+UBSan search/pruning tests + DP bench smoke
 #   $ LPA_SANITIZE=undefined tools/check.sh
 #   $ BUILD_DIR=build-asan tools/check.sh
@@ -54,16 +54,10 @@
 # field at 1/2/8 threads (plus the encoded-pricing and BulkAppend re-seal
 # paths). Bit-packing is exactly the kind of code UBSan exists for.
 #
-# The train preset builds the actor/learner pipeline tests (actor_learner_test
-# runs the deterministic digest checks at 1, 2, and 8 actor threads plus the
-# SPSC shard and fast-mode interleavings TSan exists for), rl_test, and
-# quantized_test under TSan, runs them, then drives the training kernel of
-# bench_micro_components, which re-asserts bit-identical reward and weight
-# digests at 1/2/8 threads and writes BENCH_training.json to $LPA_METRICS_DIR
-# (or build-tsan). Standing waiver: on few-core hosts (this container pins 1
-# CPU) the >= 3x steps/sec speedup at 8 threads cannot manifest, so the
-# preset asserts digest equality instead and the bench records the waiver in
-# BENCH_training.json metadata as scaling_waiver.
+# The train preset builds rl_test (the serial training loop, replay buffer and
+# online environment) and quantized_test (int8/int16 quantization, the serving
+# calibration gate and the batcher's wait-for-window mode) under TSan and
+# runs them.
 #
 # The search preset builds the design-search subsystem (src/search/) under
 # ASan+UBSan and runs search_test (DP (1+ε) certificate vs exhaustive
@@ -185,20 +179,13 @@ if [[ "${PRESET}" == "train" ]]; then
   echo "== configure (${BUILD_DIR}, -fsanitize=thread) =="
   cmake -B "${BUILD_DIR}" -S . -DLPA_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  echo "== build actor_learner_test + rl_test + quantized_test + bench =="
-  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target actor_learner_test \
-    rl_test quantized_test bench_micro_components
-  echo "== actor/learner + rl + quantized tests (TSan, 1/2/8 actor threads) =="
+  echo "== build rl_test + quantized_test =="
+  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target rl_test quantized_test
+  echo "== rl + quantized tests (TSan) =="
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-      -R 'actor_learner_test|rl_test|quantized_test'
-  echo "== training kernel: digest equality at 1/2/8 threads + fast mode =="
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \
-  LPA_BENCH_SCALE="${LPA_BENCH_SCALE:-4}" \
-    "${BUILD_DIR}/bench/bench_micro_components" --benchmark_filter='^$'
-  echo "== OK: actor/learner TSan-clean, deterministic digests bit-identical =="
-  echo "   (scaling_waiver: 1-CPU container; speedup asserted on multi-core hosts only)"
+      -R 'rl_test|quantized_test'
+  echo "== OK: training and quantized serving TSan-clean =="
   exit 0
 fi
 if [[ "${PRESET}" == "search" ]]; then
