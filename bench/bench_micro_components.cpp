@@ -1,7 +1,9 @@
 // Component microbenchmarks (google-benchmark): throughput guardrails for
 // the library's hot paths — cost-model planning, featurization, NN forward/
-// train, engine execution, and data generation — plus three kernels run
-// after the google benchmarks: a workload-cost kernel comparing full
+// train, engine execution, and data generation — plus four kernels run
+// after the google benchmarks: a Q-network kernel timing every GEMM shape of
+// the Table 1 network and the DQN train step at 1 and 2 threads
+// (BENCH_qnetwork.json), a workload-cost kernel comparing full
 // recompute against incremental delta costing (BENCH_micro_components.json),
 // a storage kernel measuring encode/decode throughput and per-column
 // compression (BENCH_storage.json), and an engine kernel measuring
@@ -19,6 +21,7 @@
 #include "sql/ddl.h"
 #include "sql/parser.h"
 #include "engine/cluster.h"
+#include "nn/matrix.h"
 #include "nn/mlp.h"
 #include "partition/featurizer.h"
 #include "rl/dqn.h"
@@ -216,6 +219,128 @@ void BM_ClassifyQueryInstance(benchmark::State& s) {
 BENCHMARK(BM_ClassifyQueryInstance);
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Q-network kernel: the GEMMs of one DQN train step on TPC-CH dimensions
+// (76 state inputs, 128-64 hidden, 70 action heads, batch 32) and the whole
+// DqnAgent::TrainStep, serial and on a 2-thread pool. GMAC/s counts m*k*n
+// multiply-adds on dense random operands, so zero-skipping cannot inflate
+// it. Each figure is the median of 7 timed batches of about 20 ms.
+
+/// Median over 7 batches of the seconds per call of `fn`.
+template <typename F>
+double MedianSecondsPerCall(F&& fn) {
+  using Clock = std::chrono::steady_clock;
+  int calls = 1;
+  for (;;) {  // size a batch to about 20 ms
+    auto t0 = Clock::now();
+    for (int i = 0; i < calls; ++i) fn();
+    double s = std::chrono::duration<double>(Clock::now() - t0).count();
+    if (s >= 0.02 || calls >= (1 << 20)) break;
+    calls *= 2;
+  }
+  std::vector<double> per_call;
+  for (int b = 0; b < 7; ++b) {
+    auto t0 = Clock::now();
+    for (int i = 0; i < calls; ++i) fn();
+    per_call.push_back(std::chrono::duration<double>(Clock::now() - t0).count() /
+                       calls);
+  }
+  std::sort(per_call.begin(), per_call.end());
+  return per_call[per_call.size() / 2];
+}
+
+void RunQNetworkKernel() {
+  bench::BenchReport report("qnetwork");
+  report.set_seed(42);
+  report.set_schema("tpcch");
+  report.Note("avx2_kernels", nn::HaveAvx2() ? "true" : "false");
+  EvalContext two(2, 7);
+  Rng rng(42);
+  auto random = [&rng](size_t rows, size_t cols) {
+    nn::Matrix m(rows, cols);
+    for (double& v : m.data()) v = rng.Uniform(-1.0, 1.0);
+    return m;
+  };
+
+  // op, m, k, n of C[m x n] = op(A) * op(B) with inner dimension k.
+  struct Shape {
+    const char* op;
+    size_t m, k, n;
+  };
+  const Shape shapes[] = {
+      {"Gemm (forward)", 32, 76, 128},     {"Gemm (forward)", 32, 128, 64},
+      {"Gemm (forward)", 32, 64, 70},      {"GemmTransA (dW)", 76, 32, 128},
+      {"GemmTransA (dW)", 128, 32, 64},    {"GemmTransA (dW)", 64, 32, 70},
+      {"GemmTransB (dprev)", 32, 70, 64},  {"GemmTransB (dprev)", 32, 64, 128},
+  };
+  TablePrinter gemms({"op", "m x k x n", "GMAC/s 1 thread", "GMAC/s 2 threads"});
+  for (const auto& sh : shapes) {
+    const std::string op = sh.op;
+    const bool trans_a = op.rfind("GemmTransA", 0) == 0;
+    const bool trans_b = op.rfind("GemmTransB", 0) == 0;
+    nn::Matrix a = trans_a ? random(sh.k, sh.m) : random(sh.m, sh.k);
+    nn::Matrix b = trans_b ? random(sh.n, sh.k) : random(sh.k, sh.n);
+    nn::Matrix c(sh.m, sh.n);
+    std::vector<std::string> row = {
+        op, std::to_string(sh.m) + "x" + std::to_string(sh.k) + "x" +
+                std::to_string(sh.n)};
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), two.pool()}) {
+      double s = MedianSecondsPerCall([&] {
+        if (trans_a) {
+          nn::GemmTransA(a, b, &c, pool);
+        } else if (trans_b) {
+          nn::GemmTransB(a, b, &c, pool);
+        } else {
+          nn::Gemm(a, b, &c, pool);
+        }
+        benchmark::DoNotOptimize(c.data().data());
+      });
+      row.push_back(FormatDouble(
+          static_cast<double>(sh.m * sh.k * sh.n) / s / 1e9, 2));
+    }
+    gemms.AddRow(row);
+  }
+  report.Table("Q-network GEMM shapes (TPC-CH, batch 32)", gemms);
+
+  // The full learner step: TD targets through the target network, masked
+  // MSE forward/backward, Adam and the Polyak target update.
+  const schema::Schema schema = schema::MakeTpcchSchema();
+  const workload::Workload wl = workload::MakeTpcchWorkload(schema);
+  const auto edges = partition::EdgeSet::Extract(schema, wl);
+  partition::ActionSpace actions(&schema, &edges);
+  partition::Featurizer featurizer(&schema, &edges, wl.num_queries());
+  auto state = partition::PartitioningState::Initial(&schema, &edges);
+  std::vector<double> freqs(static_cast<size_t>(wl.num_queries()), 1.0);
+  std::vector<rl::Transition> replay;
+  for (int i = 0; i < 256; ++i) {
+    auto legal = actions.LegalActions(state);
+    rl::Transition t;
+    t.state_enc = featurizer.EncodeState(state, freqs);
+    t.action_id = legal[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
+    LPA_CHECK(actions.Apply(t.action_id, &state).ok());
+    t.reward = rng.Uniform(-1.0, 1.0);
+    t.next_enc = featurizer.EncodeState(state, freqs);
+    t.next_legal = actions.LegalActions(state);
+    replay.push_back(std::move(t));
+  }
+  TablePrinter steps({"network", "inputs", "heads", "us/step 1 thread",
+                      "us/step 2 threads"});
+  std::vector<std::string> row = {"128-64 multi-head",
+                                  std::to_string(featurizer.state_dim()),
+                                  std::to_string(actions.size())};
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), two.pool()}) {
+    rl::DqnAgent agent(&featurizer, &actions, rl::DqnConfig{});
+    for (const auto& t : replay) agent.Observe(t);
+    Rng step_rng(3);
+    double s = MedianSecondsPerCall(
+        [&] { benchmark::DoNotOptimize(agent.TrainStep(&step_rng, pool)); });
+    row.push_back(FormatDouble(s * 1e6, 1));
+  }
+  steps.AddRow(row);
+  report.Table("DqnAgent::TrainStep (TPC-CH dimensions, batch 32)", steps);
+}
 
 // ---------------------------------------------------------------------------
 // Workload-cost kernel: full recompute vs incremental delta costing.
@@ -578,6 +703,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  lpa::RunQNetworkKernel();
   lpa::RunWorkloadCostKernel();
   lpa::RunStorageKernel();
   lpa::RunEngineKernel();

@@ -59,13 +59,10 @@ struct Prop {
     });
   }
 
-  std::string Signature() const {
-    if (replicated) return "R";
-    std::string s;
-    for (const auto& c : cols) {
-      s += std::to_string(c.table) + "." + std::to_string(c.column) + ",";
-    }
-    return s;
+  /// Same Pareto bucket key: every replicated property matches every other;
+  /// partitioned ones match on equal column lists.
+  bool SameKey(const Prop& other) const {
+    return replicated == other.replicated && (replicated || cols == other.cols);
   }
 };
 
@@ -404,9 +401,8 @@ class PlanSearch {
 
   void Insert(uint32_t mask, Entry entry) {
     auto& bucket = entries_[mask];
-    std::string sig = entry.prop.Signature();
     for (auto& existing : bucket) {
-      if (existing.prop.Signature() == sig) {
+      if (existing.prop.SameKey(entry.prop)) {
         if (entry.cost < existing.cost) existing = std::move(entry);
         return;
       }

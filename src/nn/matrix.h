@@ -11,7 +11,7 @@ namespace lpa::nn {
 /// \brief Dense row-major double matrix used by the neural network layers.
 ///
 /// Deliberately minimal: the Q-networks of the paper are two small hidden
-/// layers (128-64), so a cache-friendly naive GEMM is plenty.
+/// layers (128-64); the GEMMs below are tuned for those shapes.
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}
@@ -57,11 +57,12 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// All three GEMMs optionally run on a thread pool. Work is partitioned over
-/// rows of C only, so each output element is accumulated by exactly one
-/// thread in the same index order as the serial loop — results are
-/// bit-identical at every thread count. Small products (fewer flops than one
-/// chunk is worth) run inline regardless of the pool.
+/// All three GEMMs run one register-blocked fp64 kernel (AVX2 when the CPU
+/// has it, else the scalar reference loop) and optionally on a thread pool.
+/// Every C element is accumulated from +0.0 in ascending p order, with a
+/// separate multiply and add (no FMA), so every kernel, blocking and thread
+/// count gives bit-identical results for finite inputs. Work is partitioned
+/// over rows of C only; small products run inline regardless of the pool.
 
 /// \brief C = A * B (A: m x k, B: k x n). C must be pre-sized m x n.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c,
@@ -74,5 +75,27 @@ void GemmTransA(const Matrix& a, const Matrix& b, Matrix* c,
 /// \brief C = A * B^T (A: m x k, B: n x k). C must be pre-sized m x n.
 void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c,
                 ThreadPool* pool = nullptr);
+
+/// \brief Serial scalar C = A * B: the plain row-by-row loop the kernel
+/// reproduces bit for bit, and the fallback on CPUs without AVX2.
+void GemmReference(const Matrix& a, const Matrix& b, Matrix* c);
+
+/// \brief True when this process runs the AVX2 builds of the kernels
+/// (selected once by CPUID).
+bool HaveAvx2();
+
+/// \brief Constants of one Adam step (bias1/bias2 are 1 - beta^t).
+struct AdamCoeffs {
+  double beta1, beta2, epsilon, bias1, bias2, lr;
+};
+
+/// \brief Adam update of n parameters, element by element:
+/// m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+/// param -= lr*(m/bias1) / (sqrt(v/bias2) + eps).
+void AdamUpdate(const AdamCoeffs& k, const double* grad, double* m, double* v,
+                double* param, size_t n);
+
+/// \brief Polyak blend of n values: dst = (1 - tau)*dst + tau*src.
+void PolyakBlend(double tau, const double* src, double* dst, size_t n);
 
 }  // namespace lpa::nn

@@ -95,14 +95,15 @@ class Mlp {
     Matrix mw, vw, mb, vb;
   };
 
-  /// Activations of a forward pass kept for backprop.
+  /// Activations of a forward pass kept for backprop: the caller's input
+  /// (borrowed) and each hidden layer's ReLU output.
   struct Tape {
-    std::vector<Matrix> activations;  // per layer input, plus final output
+    const Matrix* input = nullptr;
+    std::vector<Matrix> hidden;
   };
 
   Matrix ForwardTape(const Matrix& x, Tape* tape, ThreadPool* pool) const;
-  void Backward(const Tape& tape, const Matrix& dloss, double lr,
-                ThreadPool* pool);
+  void Backward(const Tape& tape, Matrix dloss, double lr, ThreadPool* pool);
   void AdamStep(Matrix* param, Matrix* m, Matrix* v, const Matrix& grad,
                 double lr, ThreadPool* pool);
 

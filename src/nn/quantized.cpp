@@ -81,10 +81,6 @@ __attribute__((target("avx2"))) void Int16GemvAvx2(
     const int32_t* qa, const int16_t* w, size_t in, size_t out, int64_t* acc) {
   Int16GemvBody(qa, w, in, out, acc);
 }
-bool HaveAvx2() {
-  static const bool have = __builtin_cpu_supports("avx2");
-  return have;
-}
 #endif
 
 void QuantizeRow(const double* a, size_t n, double inv, double qmax,

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "partition/actions.h"
 #include "partition/partition_state.h"
 #include "schema/catalogs.h"
+#include "util/rng.h"
 #include "workload/benchmarks.h"
 
 namespace lpa::costmodel {
@@ -396,6 +401,45 @@ TEST_F(TpcdsCostModelTest, FullWorkloadCostFiniteUnderManyDesigns) {
     EXPECT_TRUE(std::isfinite(c));
     EXPECT_GT(c, 0.0);
   }
+}
+
+/// FNV-1a over the bit patterns of QueryCost for every query at every design
+/// of a seeded random action walk. Pins the planner's output bit for bit, so
+/// a refactor of the DP search (Pareto buckets, property keys, pruning) must
+/// keep every cost identical, not merely close.
+uint64_t QueryCostDigest(const std::string& name) {
+  schema::Schema schema = name == "ssb"     ? schema::MakeSsbSchema()
+                          : name == "tpcds" ? schema::MakeTpcdsSchema()
+                                            : schema::MakeTpcchSchema();
+  workload::Workload wl = name == "ssb"     ? workload::MakeSsbWorkload(schema)
+                          : name == "tpcds" ? workload::MakeTpcdsWorkload(schema)
+                                            : workload::MakeTpcchWorkload(schema);
+  EdgeSet edges = EdgeSet::Extract(schema, wl);
+  partition::ActionSpace actions(&schema, &edges);
+  CostModel model(&schema, HardwareProfile::DiskBased10G());
+  Rng rng(2024);
+  auto state = PartitioningState::Initial(&schema, &edges);
+  uint64_t h = 1469598103934665603ULL;
+  for (int step = 0; step < 24; ++step) {
+    for (const auto& q : wl.queries()) {
+      h ^= std::bit_cast<uint64_t>(model.QueryCost(q, state));
+      h *= 1099511628211ULL;
+    }
+    auto legal = actions.LegalActions(state);
+    EXPECT_TRUE(actions
+                    .Apply(legal[static_cast<size_t>(rng.UniformInt(
+                               0, static_cast<int64_t>(legal.size()) - 1))],
+                           &state)
+                    .ok());
+  }
+  return h;
+}
+
+TEST(CostModelDigestTest, QueryCostBitPatternsOverRandomWalksArePinned) {
+  // Any change here is a behaviour change of the planner.
+  EXPECT_EQ(QueryCostDigest("ssb"), 0x2c589c8f74e38060ULL);
+  EXPECT_EQ(QueryCostDigest("tpcds"), 0x73fdceea6663bd15ULL);
+  EXPECT_EQ(QueryCostDigest("tpcch"), 0x7c452c3b9cc243d6ULL);
 }
 
 }  // namespace

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "nn/matrix.h"
+#include "partition/actions.h"
+#include "partition/featurizer.h"
+#include "rl/dqn.h"
+#include "schema/catalogs.h"
+#include "util/eval_context.h"
 #include "util/rng.h"
+#include "workload/benchmarks.h"
 
 namespace lpa::nn {
 namespace {
@@ -222,6 +231,230 @@ TEST(ZipfTest, SkewsTowardSmallValues) {
   }
   // Under uniform sampling only ~10% fall in [1,10]; Zipf(1.2) concentrates.
   EXPECT_GT(low, total / 2);
+}
+
+// --- Kernel bit-identity -----------------------------------------------------
+//
+// The dispatched kernels (AVX2 where the CPU has it) must reproduce the
+// scalar loops bit for bit: same +0.0 start, same ascending-p accumulation,
+// no FMA. Compared with memcmp, so even a -0.0 vs +0.0 difference fails.
+
+bool BitEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+Matrix Transposed(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) t.at(c, r) = m.at(r, c);
+  }
+  return t;
+}
+
+/// The historic serial A * B^T: one dot-product chain per C element, no
+/// zero skip.
+Matrix DotProductTransB(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.rows(); ++j) {
+      double acc = 0.0;
+      for (size_t p = 0; p < a.cols(); ++p) acc += a.at(i, p) * b.at(j, p);
+      c.at(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+enum class Sparsity { kDense, kRelu, kZeroRows, kOneHot };
+
+/// Random matrix with the zero patterns the Q-network produces: dense
+/// weights, ReLU activations (about half exact zeros, some -0.0), whole zero
+/// rows (masked-loss gradients), and one-hot rows (state encodings).
+Matrix RandomMatrix(size_t rows, size_t cols, Sparsity sparsity, Rng* rng) {
+  Matrix m(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    const bool zero_row = sparsity == Sparsity::kZeroRows && rng->Uniform() < 0.4;
+    const size_t hot = static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(cols) - 1));
+    for (size_t c = 0; c < cols; ++c) {
+      double v = rng->Uniform(-2.0, 2.0);
+      if (sparsity == Sparsity::kRelu && v < 0.0) v = v < -1.0 ? -0.0 : 0.0;
+      if (sparsity == Sparsity::kOneHot) v = c == hot ? 1.0 : 0.0;
+      if (zero_row) v = 0.0;
+      m.at(r, c) = v;
+    }
+  }
+  return m;
+}
+
+TEST(GemmKernelTest, BitIdenticalToScalarReferenceOnRandomShapes) {
+  Rng rng(2027);
+  std::vector<std::array<size_t, 3>> shapes = {
+      {32, 76, 128}, {32, 128, 64}, {32, 64, 70}, {1, 1, 1},   {3, 1, 9},
+      {5, 7, 3},     {7, 13, 17},   {4, 8, 8},    {9, 1, 15},  {2, 33, 6},
+      {67, 200, 130}, {130, 45, 66}, {150, 90, 101}};
+  for (int i = 0; i < 12; ++i) {
+    shapes.push_back({static_cast<size_t>(rng.UniformInt(1, 70)),
+                      static_cast<size_t>(rng.UniformInt(1, 90)),
+                      static_cast<size_t>(rng.UniformInt(1, 140))});
+  }
+  for (int threads : {1, 2, 4}) {
+    EvalContext ctx(threads, /*seed=*/1);
+    for (const auto& [m, k, n] : shapes) {
+      for (Sparsity sp : {Sparsity::kDense, Sparsity::kRelu,
+                          Sparsity::kZeroRows, Sparsity::kOneHot}) {
+        const Matrix a = RandomMatrix(m, k, sp, &rng);
+        const Matrix b = RandomMatrix(k, n, Sparsity::kDense, &rng);
+        Matrix want(m, n), got(m, n, 7.0);
+        GemmReference(a, b, &want);
+        Gemm(a, b, &got, ctx.pool());
+        EXPECT_TRUE(BitEqual(got, want)) << "Gemm " << m << "x" << k << "x" << n;
+
+        // A^T * B with A stored k x m.
+        const Matrix at = Transposed(a);
+        Matrix got_ta(m, n, 7.0);
+        GemmTransA(at, b, &got_ta, ctx.pool());
+        EXPECT_TRUE(BitEqual(got_ta, want))
+            << "GemmTransA " << m << "x" << k << "x" << n;
+
+        // A * B^T with B stored n x k; also equal to the dot-product chain.
+        const Matrix bt = Transposed(b);
+        Matrix got_tb(m, n, 7.0);
+        GemmTransB(a, bt, &got_tb, ctx.pool());
+        EXPECT_TRUE(BitEqual(got_tb, want))
+            << "GemmTransB " << m << "x" << k << "x" << n;
+        EXPECT_TRUE(BitEqual(got_tb, DotProductTransB(a, bt)))
+            << "GemmTransB dot chain " << m << "x" << k << "x" << n;
+      }
+    }
+  }
+}
+
+TEST(GemmKernelTest, ZeroSkipNeverProducesNegativeZero) {
+  // Rows of A that are all zero, or zero against a negative B, must come out
+  // +0.0 exactly as in the scalar loop (which never touches them).
+  Matrix a = Matrix::FromRows({{0.0, -0.0, 0.0}, {1.0, 0.0, -0.0},
+                               {-0.0, 0.0, 0.0}, {0.0, 2.0, 0.0},
+                               {0.0, 0.0, 0.0}});
+  Matrix b(3, 11, -1.5);
+  Matrix want(5, 11), got(5, 11);
+  GemmReference(a, b, &want);
+  Gemm(a, b, &got);
+  EXPECT_TRUE(BitEqual(got, want));
+  for (size_t j = 0; j < 11; ++j) {
+    EXPECT_FALSE(std::signbit(got.at(0, j)));
+    EXPECT_FALSE(std::signbit(got.at(4, j)));
+  }
+}
+
+/// The historic scalar Adam loop the vectorized update must reproduce.
+void ScalarAdam(const AdamCoeffs& k, const std::vector<double>& g,
+                std::vector<double>* m, std::vector<double>* v,
+                std::vector<double>* param) {
+  for (size_t i = 0; i < g.size(); ++i) {
+    double& mi = (*m)[i];
+    double& vi = (*v)[i];
+    mi = k.beta1 * mi + (1.0 - k.beta1) * g[i];
+    vi = k.beta2 * vi + (1.0 - k.beta2) * g[i] * g[i];
+    double mhat = mi / k.bias1;
+    double vhat = vi / k.bias2;
+    (*param)[i] -= k.lr * mhat / (std::sqrt(vhat) + k.epsilon);
+  }
+}
+
+TEST(ElementwiseKernelTest, AdamAndPolyakMatchScalarLoopsOverTenSteps) {
+  Rng rng(31);
+  const size_t n = 1027;  // not a multiple of the vector width
+  std::vector<double> p(n), m(n, 0.0), v(n, 0.0);
+  for (double& x : p) x = rng.Uniform(-1.0, 1.0);
+  std::vector<double> p2 = p, m2 = m, v2 = v;
+  std::vector<double> target(n), blended = p, blended2 = p;
+  for (double& x : target) x = rng.Uniform(-1.0, 1.0);
+  for (int t = 1; t <= 10; ++t) {
+    std::vector<double> g(n);
+    for (double& x : g) x = rng.Uniform() < 0.3 ? 0.0 : rng.Uniform(-0.1, 0.1);
+    const AdamCoeffs k{0.9, 0.999, 1e-8, 1.0 - std::pow(0.9, t),
+                       1.0 - std::pow(0.999, t), 5e-4};
+    AdamUpdate(k, g.data(), m.data(), v.data(), p.data(), n);
+    ScalarAdam(k, g, &m2, &v2, &p2);
+    const double tau = t == 10 ? 1.0 : 1e-3 * t;
+    PolyakBlend(tau, target.data(), blended.data(), n);
+    for (size_t i = 0; i < n; ++i) {
+      blended2[i] = (1.0 - tau) * blended2[i] + tau * target[i];
+    }
+  }
+  EXPECT_EQ(std::memcmp(p.data(), p2.data(), n * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(m.data(), m2.data(), n * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(v.data(), v2.data(), n * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(blended.data(), blended2.data(), n * sizeof(double)), 0);
+}
+
+// --- Pinned training digest --------------------------------------------------
+
+/// FNV-1a over the bit patterns of every weight and bias of the online
+/// Q-network after 50 DQN TrainSteps on a seeded replay buffer.
+uint64_t TrainedQNetworkDigest(bool tpcch, rl::QNetworkMode mode,
+                               int threads) {
+  const schema::Schema schema =
+      tpcch ? schema::MakeTpcchSchema() : schema::MakeMicroSchema();
+  const workload::Workload wl = tpcch ? workload::MakeTpcchWorkload(schema)
+                                      : workload::MakeMicroWorkload(schema);
+  const auto edges = partition::EdgeSet::Extract(schema, wl);
+  partition::ActionSpace actions(&schema, &edges);
+  partition::Featurizer featurizer(&schema, &edges, wl.num_queries());
+  rl::DqnConfig config;
+  config.mode = mode;
+  config.seed = 5;
+  rl::DqnAgent agent(&featurizer, &actions, config);
+  Rng rng(9);
+  auto state = partition::PartitioningState::Initial(&schema, &edges);
+  std::vector<double> freqs(static_cast<size_t>(wl.num_queries()));
+  for (double& f : freqs) f = rng.Uniform();
+  for (int i = 0; i < 96; ++i) {
+    auto legal = actions.LegalActions(state);
+    rl::Transition t;
+    t.state_enc = featurizer.EncodeState(state, freqs);
+    t.action_id = legal[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
+    EXPECT_TRUE(actions.Apply(t.action_id, &state).ok());
+    t.reward = rng.Uniform(-1.0, 1.0);
+    t.next_enc = featurizer.EncodeState(state, freqs);
+    t.next_legal = actions.LegalActions(state);
+    agent.Observe(std::move(t));
+  }
+  EvalContext ctx(threads, /*seed=*/1);
+  Rng train_rng(13);
+  for (int step = 0; step < 50; ++step) agent.TrainStep(&train_rng, ctx.pool());
+  const Mlp& q = agent.q_network();
+  uint64_t h = 1469598103934665603ULL;
+  for (size_t l = 0; l < q.num_layers(); ++l) {
+    for (const Matrix* m : {&q.layer_weights(l), &q.layer_bias(l)}) {
+      for (double w : m->data()) {
+        h ^= std::bit_cast<uint64_t>(w);
+        h *= 1099511628211ULL;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(TrainStepDigestTest, QNetworkWeightsAfterFiftyStepsArePinned) {
+  // The same at every pool size; any change is a behaviour change of the
+  // learner.
+  for (int threads : {1, 2, 4}) {
+    EXPECT_EQ(TrainedQNetworkDigest(false, rl::QNetworkMode::kMultiHead, threads),
+              0xc86385ea6bc5acdeULL)
+        << threads;
+    EXPECT_EQ(TrainedQNetworkDigest(false, rl::QNetworkMode::kStateActionInput,
+                                    threads),
+              0x3ba62758bc406df5ULL)
+        << threads;
+    EXPECT_EQ(TrainedQNetworkDigest(true, rl::QNetworkMode::kMultiHead, threads),
+              0xf09ac5f2036d0b7cULL)
+        << threads;
+  }
 }
 
 }  // namespace

@@ -4,12 +4,12 @@
 #
 #   $ tools/check.sh                 # ASan+UBSan (default)
 #   $ tools/check.sh tsan            # ThreadSanitizer on the threaded tests
-#   $ tools/check.sh perf            # Release micro-bench: incremental costing
+#   $ tools/check.sh perf            # Release micro-bench: Q-network kernels, costing, engine
 #   $ tools/check.sh serve           # TSan serving tests + loadgen smoke
 #   $ tools/check.sh fleet           # TSan fleet tests + 100-tenant smoke
 #   $ tools/check.sh autopilot       # TSan autopilot tests + bench smoke
 #   $ tools/check.sh storage         # ASan+UBSan storage/engine + compression smoke
-#   $ tools/check.sh train           # TSan training + quantized-serving tests
+#   $ tools/check.sh train           # TSan nn kernels, training + quantized-serving tests
 #   $ tools/check.sh search          # ASan+UBSan search/pruning tests + DP bench smoke
 #   $ LPA_SANITIZE=undefined tools/check.sh
 #   $ BUILD_DIR=build-asan tools/check.sh
@@ -54,10 +54,12 @@
 # field at 1/2/8 threads (plus the encoded-pricing and BulkAppend re-seal
 # paths). Bit-packing is exactly the kind of code UBSan exists for.
 #
-# The train preset builds rl_test (the serial training loop, replay buffer and
-# online environment) and quantized_test (int8/int16 quantization, the serving
-# calibration gate and the batcher's wait-for-window mode) under TSan and
-# runs them.
+# The train preset builds nn_test (the Q-network GEMM kernel and its
+# thread-local pack buffers on 2- and 4-thread pools, checked bit for bit
+# against the scalar loop), rl_test (the serial training loop, replay buffer
+# and online environment) and quantized_test (int8/int16 quantization, the
+# serving calibration gate and the batcher's wait-for-window mode) under TSan
+# and runs them.
 #
 # The search preset builds the design-search subsystem (src/search/) under
 # ASan+UBSan and runs search_test (DP (1+ε) certificate vs exhaustive
@@ -70,9 +72,11 @@
 #
 # The perf preset builds Release into build-perf and runs the post-benchmark
 # kernels of bench_micro_components (google benchmarks filtered out): the
-# workload-cost kernel (full recompute vs incremental delta costing) and the
-# engine kernel (pool-parallel ExecuteWorkload at 1/2/8 threads with
-# bit-identity digest checks). BENCH_micro_components.json and
+# Q-network kernel (GMAC/s of every GEMM shape of the TPC-CH train step and
+# DqnAgent::TrainStep us, serial and at 2 threads), the workload-cost kernel
+# (full recompute vs incremental delta costing) and the engine kernel
+# (pool-parallel ExecuteWorkload at 1/2/8 threads with bit-identity digest
+# checks). BENCH_qnetwork.json, BENCH_micro_components.json and
 # BENCH_engine.json land in $LPA_METRICS_DIR (or build-perf).
 set -euo pipefail
 
@@ -86,7 +90,7 @@ if [[ "${PRESET}" == "perf" ]]; then
   cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
   echo "== build bench_micro_components =="
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_micro_components
-  echo "== perf kernels: workload-cost (full vs incremental) + engine (pool-parallel) =="
+  echo "== perf kernels: Q-network GEMMs + train step, workload-cost (full vs incremental), engine (pool-parallel) =="
   LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \
     "${BUILD_DIR}/bench/bench_micro_components" --benchmark_filter='^$'
   echo "== OK: matching digests above = bit-identical results; see BENCH_engine.json =="
@@ -179,13 +183,14 @@ if [[ "${PRESET}" == "train" ]]; then
   echo "== configure (${BUILD_DIR}, -fsanitize=thread) =="
   cmake -B "${BUILD_DIR}" -S . -DLPA_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  echo "== build rl_test + quantized_test =="
-  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target rl_test quantized_test
-  echo "== rl + quantized tests (TSan) =="
+  echo "== build nn_test + rl_test + quantized_test =="
+  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target nn_test rl_test \
+    quantized_test
+  echo "== nn + rl + quantized tests (TSan) =="
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-      -R 'rl_test|quantized_test'
-  echo "== OK: training and quantized serving TSan-clean =="
+      -R 'nn_test|rl_test|quantized_test'
+  echo "== OK: nn kernels, training and quantized serving TSan-clean =="
   exit 0
 fi
 if [[ "${PRESET}" == "search" ]]; then
