@@ -3,8 +3,9 @@
 // train, engine execution, and data generation — plus four kernels run
 // after the google benchmarks: a Q-network kernel timing every GEMM shape of
 // the Table 1 network and the DQN train step at 1 and 2 threads
-// (BENCH_qnetwork.json), a workload-cost kernel comparing full
-// recompute against incremental delta costing (BENCH_micro_components.json),
+// (BENCH_qnetwork.json), a workload-cost kernel timing the offline env's
+// per-step workload cost serially and at 2 threads
+// (BENCH_micro_components.json),
 // a storage kernel measuring encode/decode throughput and per-column
 // compression (BENCH_storage.json), and an engine kernel measuring
 // pool-parallel ExecuteWorkload scaling with bit-identity checks plus the
@@ -17,7 +18,6 @@
 #include "advisor/workload_monitor.h"
 #include "bench_common.h"
 #include "costmodel/cost_model.h"
-#include "costmodel/workload_cost_tracker.h"
 #include "sql/ddl.h"
 #include "sql/parser.h"
 #include "engine/cluster.h"
@@ -343,14 +343,13 @@ void RunQNetworkKernel() {
 }
 
 // ---------------------------------------------------------------------------
-// Workload-cost kernel: full recompute vs incremental delta costing.
+// Workload-cost kernel: OfflineEnv::WorkloadCost per training step.
 //
-// Replays one seeded random action walk through the offline environment twice
-// — once pricing every step with WorkloadCost (what training did before the
-// tracker) and once with a WorkloadCostTracker fed Action::AffectedTables
-// hints — and reports cost-model cache probes per step, ns per step, and the
-// digest of the per-step totals. The digests MUST match: the incremental path
-// is bit-identical by contract.
+// Replays one seeded random action walk through a fresh offline environment
+// (cold cost cache) once serially and once on a 2-thread context, where the
+// cache misses of a step are planned across the pool, and reports cost-cache
+// probes per step, ns per step, and the digest of the per-step totals. The
+// digests MUST match: the fan-out is bit-identical by contract.
 
 void RunWorkloadCostKernel() {
   bench::BenchReport report("micro_components");
@@ -359,7 +358,7 @@ void RunWorkloadCostKernel() {
   report.Note("workload_cost_steps", std::to_string(steps));
 
   TablePrinter table(
-      {"schema", "mode", "probes/step", "ns/step", "total digest"});
+      {"schema", "threads", "probes/step", "ns/step", "total digest"});
   for (const std::string& name : {std::string("ssb"), std::string("tpcch")}) {
     auto tb = bench::MakeTestbed(name, bench::EngineKind::kDiskBased,
                                  /*fraction=*/1e-4);
@@ -367,7 +366,7 @@ void RunWorkloadCostKernel() {
     std::vector<double> freqs(
         static_cast<size_t>(tb.workload->num_queries()), 1.0);
 
-    // One shared walk so both modes price the identical state sequence.
+    // One shared walk so both rows price the identical state sequence.
     std::vector<int> walk;
     {
       Rng rng(42);
@@ -381,17 +380,10 @@ void RunWorkloadCostKernel() {
       }
     }
 
-    auto run_mode = [&](bool incremental) {
-      // Fresh env per mode: both start from a cold cost cache.
+    auto run = [&](int threads) {
+      // Fresh env per row: both start from a cold cost cache.
       rl::OfflineEnv env(tb.exact_model.get(), tb.workload.get());
-      std::unique_ptr<costmodel::WorkloadCostTracker> tracker;
-      if (incremental) {
-        tracker = std::make_unique<costmodel::WorkloadCostTracker>(
-            tb.workload.get(),
-            [&env](int j, const partition::PartitioningState& s) {
-              return env.QueryCost(j, s, 1.0);
-            });
-      }
+      EvalContext ctx(threads, /*seed=*/42);
       auto state = tb.Initial();
       std::vector<double> totals;
       totals.reserve(walk.size());
@@ -399,11 +391,7 @@ void RunWorkloadCostKernel() {
       auto t0 = std::chrono::steady_clock::now();
       for (int action : walk) {
         LPA_CHECK(actions.Apply(action, &state).ok());
-        totals.push_back(
-            incremental
-                ? tracker->EvaluateDelta(state, actions.AffectedTables(action),
-                                         freqs)
-                : env.WorkloadCost(state, freqs));
+        totals.push_back(env.WorkloadCost(state, freqs, &ctx));
       }
       auto t1 = std::chrono::steady_clock::now();
       double ns_per_step =
@@ -414,19 +402,18 @@ void RunWorkloadCostKernel() {
       double probes_per_step =
           static_cast<double>(env.evaluations() - probes_before) /
           static_cast<double>(walk.size());
-      table.AddRow({name, incremental ? "incremental" : "full",
+      table.AddRow({name, std::to_string(threads),
                     FormatDouble(probes_per_step, 2),
                     FormatDouble(ns_per_step, 0),
                     bench::RewardDigest(totals)});
       return totals;
     };
 
-    auto full = run_mode(/*incremental=*/false);
-    auto incr = run_mode(/*incremental=*/true);
-    LPA_CHECK(full == incr);  // bit-identical totals, the tracker's contract
+    auto serial = run(1);
+    auto pooled = run(2);
+    LPA_CHECK(serial == pooled);  // the fan-out is bit-identical
   }
-  report.Table("Workload cost per training step: full recompute vs incremental",
-               table);
+  report.Table("Workload cost per training step (full recompute)", table);
 }
 
 // ---------------------------------------------------------------------------

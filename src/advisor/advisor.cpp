@@ -150,8 +150,8 @@ rl::InferenceResult PartitioningAdvisor::SuggestWithTransitionCost(
   telemetry::Span span("advisor.suggest");
   AdvisorMetrics::Get().suggestions.Add();
   LPA_CHECK(offline_env_ != nullptr);
-  // Each rollout gets its own tracker-backed workload term (delta-costed
-  // along the rollout's state sequence) plus the repartitioning penalty.
+  // Each rollout gets its own objective: the workload term, priced through
+  // the offline env's cost cache, plus the repartitioning penalty.
   auto workload_factory =
       rl::MakeEnvObjective(offline_env_.get(), &frequencies, nullptr);
   rl::EpisodeTrainer::ObjectiveFactory factory =

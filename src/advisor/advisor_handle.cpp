@@ -1,5 +1,7 @@
 #include "advisor/advisor_handle.h"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -126,6 +128,12 @@ Result<rl::InferenceResult> AdvisorHandle::Suggest(
     return Status::InvalidArgument(
         "frequency vector has " + std::to_string(request.frequencies.size()) +
         " entries; workload has " + std::to_string(m) + " queries");
+  }
+  // A NaN or infinite weight poisons every total: no cost then compares
+  // below the incumbent and the initial design would come back as "best".
+  if (!std::all_of(request.frequencies.begin(), request.frequencies.end(),
+                   [](double f) { return std::isfinite(f); })) {
+    return Status::InvalidArgument("frequency vector has a non-finite entry");
   }
   if (request.transition_cost_weight < 0.0) {
     return Status::InvalidArgument("transition_cost_weight must be >= 0");

@@ -25,7 +25,7 @@ void SubspaceCommittee::TrainExperts(size_t first, rl::PartitioningEnv* env,
     experts_[k] = TrainExpert(static_cast<int>(k), env, episodes, pool);
   };
   size_t count = references_.size() - first;
-  if (pool != nullptr && env->SupportsParallelEval() && count > 1) {
+  if (pool != nullptr && env->PureQueryCost() && count > 1) {
     // Each expert's RNG stream depends only on (committee seed, subspace),
     // so concurrent training fills experts_ with the same agents the serial
     // loop would produce.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "advisor/serialization.h"
+#include "costmodel/weighted_cost.h"
 #include "telemetry/registry.h"
 
 namespace lpa::autopilot {
@@ -64,13 +65,27 @@ rl::FrequencySampler MakeMixSampler(std::vector<double> mix, int m) {
   };
 }
 
-costmodel::WorkloadCostTracker MakeTrackerWith(
-    const costmodel::CostModel* model, const workload::Workload* workload) {
-  return costmodel::WorkloadCostTracker(
-      workload, [model, workload](int query_index,
-                                  const partition::PartitioningState& state) {
-        return model->QueryCost(workload->query(query_index), state);
-      });
+/// Extend `costs` to one entry per query of `workload`: query j's cost under
+/// `design`, priced by `model`. A fixed design's per-query costs do not
+/// depend on the mix, so each is priced once and every mix only re-weights.
+void PriceQueries(const costmodel::CostModel* model,
+                  const workload::Workload& workload,
+                  const partition::PartitioningState& design,
+                  std::vector<double>* costs) {
+  for (int j = static_cast<int>(costs->size()); j < workload.num_queries();
+       ++j) {
+    costs->push_back(model->QueryCost(workload.query(j), design));
+  }
+}
+
+double MeanDesignCost(const std::vector<double>& query_costs,
+                      const std::vector<std::vector<double>>& mixes) {
+  if (mixes.empty()) return 0.0;
+  double sum = 0.0;
+  for (const auto& mix : mixes) {
+    sum += costmodel::WeightedCost(query_costs, mix);
+  }
+  return sum / static_cast<double>(mixes.size());
 }
 
 }  // namespace
@@ -123,14 +138,9 @@ void RetrainController::UpdateCostModel(const costmodel::CostModel* model) {
   if (model == nullptr || model == model_) return;
   model_ = model;
   (void)incumbent_.BindCostModel(model_);
-  if (in_probation()) {
-    // Re-price the open probation window under the recalibrated model.
-    const workload::Workload* wl = &incumbent_.advisor().workload();
-    probation_deployed_tracker_ = std::make_unique<costmodel::WorkloadCostTracker>(
-        MakeTrackerWith(model_, wl));
-    probation_rollback_tracker_ = std::make_unique<costmodel::WorkloadCostTracker>(
-        MakeTrackerWith(model_, wl));
-  }
+  // Later probation ticks re-price under the recalibrated model.
+  probation_deployed_costs_.clear();
+  probation_rollback_costs_.clear();
 }
 
 Result<std::vector<int>> RetrainController::AbsorbQueries(
@@ -145,10 +155,6 @@ Result<std::vector<int>> RetrainController::AbsorbQueries(
   if (!indices.ok()) return indices.status();
   for (auto& q : queries) added_queries_.push_back(std::move(q));
   for (int idx : *indices) pending_focus_.push_back(idx);
-  if (probation_deployed_tracker_ != nullptr) {
-    probation_deployed_tracker_->SyncWorkload();
-    probation_rollback_tracker_->SyncWorkload();
-  }
   return indices;
 }
 
@@ -293,9 +299,8 @@ RetrainController::RetrainResult RetrainController::RunRetrain(
     }
   }
 
-  // Holdout validation: cost both designs over the recent-mix window with
-  // one tracker per design — the same design re-priced under many mixes is
-  // nearly free (only weights change, not per-query costs).
+  // Holdout validation: cost both designs over the recent-mix window. Each
+  // design's per-query costs are priced once; the mixes only re-weight them.
   std::vector<std::vector<double>> mixes;
   size_t start = job.holdout.size() > static_cast<size_t>(config_.holdout_mixes)
                      ? job.holdout.size() -
@@ -305,28 +310,18 @@ RetrainController::RetrainResult RetrainController::RunRetrain(
     mixes.push_back(PadTo(job.holdout[i], m));
   }
   if (mixes.empty()) mixes.push_back(PadTo(job.mix, m));
-  const workload::Workload* wl = &job.candidate.advisor().workload();
-  auto candidate_tracker = MakeTrackerWith(job.model, wl);
-  auto incumbent_tracker = MakeTrackerWith(job.model, wl);
-  result.candidate_cost =
-      MeanDesignCost(*result.design, mixes, &candidate_tracker);
-  result.incumbent_cost =
-      MeanDesignCost(job.deployed, mixes, &incumbent_tracker);
+  const workload::Workload& wl = job.candidate.advisor().workload();
+  std::vector<double> candidate_costs;
+  std::vector<double> incumbent_costs;
+  PriceQueries(job.model, wl, *result.design, &candidate_costs);
+  PriceQueries(job.model, wl, job.deployed, &incumbent_costs);
+  result.candidate_cost = MeanDesignCost(candidate_costs, mixes);
+  result.incumbent_cost = MeanDesignCost(incumbent_costs, mixes);
   result.pass = !config_.validation_gate ||
                 result.candidate_cost <=
                     result.incumbent_cost * (1.0 - config_.swap_margin);
   result.candidate = std::move(job.candidate);
   return result;
-}
-
-double RetrainController::MeanDesignCost(
-    const partition::PartitioningState& design,
-    const std::vector<std::vector<double>>& mixes,
-    costmodel::WorkloadCostTracker* tracker) const {
-  if (mixes.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& mix : mixes) sum += tracker->Evaluate(design, mix);
-  return sum / static_cast<double>(mixes.size());
 }
 
 TickOutcome RetrainController::Apply(RetrainResult result) {
@@ -378,11 +373,8 @@ TickOutcome RetrainController::Apply(RetrainResult result) {
   probation_left_ = std::max(1, config_.probation_ticks);
   probation_deployed_sum_ = 0.0;
   probation_rollback_sum_ = 0.0;
-  const workload::Workload* wl = &incumbent_.advisor().workload();
-  probation_deployed_tracker_ = std::make_unique<costmodel::WorkloadCostTracker>(
-      MakeTrackerWith(model_, wl));
-  probation_rollback_tracker_ = std::make_unique<costmodel::WorkloadCostTracker>(
-      MakeTrackerWith(model_, wl));
+  probation_deployed_costs_.clear();
+  probation_rollback_costs_.clear();
 
   out.action = TickOutcome::Action::kSwapped;
   out.detail = "candidate " + std::to_string(result.candidate_cost) +
@@ -397,12 +389,14 @@ std::optional<TickOutcome> RetrainController::StepProbation(
     probation_left_ = 0;
     return std::nullopt;
   }
-  const int m = incumbent_.advisor().workload().num_queries();
-  std::vector<double> padded = PadTo(mix, m);
+  const workload::Workload& wl = incumbent_.advisor().workload();
+  std::vector<double> padded = PadTo(mix, wl.num_queries());
+  PriceQueries(model_, wl, *deployed_design_, &probation_deployed_costs_);
+  PriceQueries(model_, wl, rollback_->design, &probation_rollback_costs_);
   probation_deployed_sum_ +=
-      probation_deployed_tracker_->Evaluate(*deployed_design_, padded);
+      costmodel::WeightedCost(probation_deployed_costs_, padded);
   probation_rollback_sum_ +=
-      probation_rollback_tracker_->Evaluate(rollback_->design, padded);
+      costmodel::WeightedCost(probation_rollback_costs_, padded);
   if (--probation_left_ > 0) return std::nullopt;
 
   // Window closed: compare the deployment against the rollback design under
@@ -439,8 +433,8 @@ std::optional<TickOutcome> RetrainController::StepProbation(
     out.detail = "probation passed";
   }
   rollback_.reset();
-  probation_deployed_tracker_.reset();
-  probation_rollback_tracker_.reset();
+  probation_deployed_costs_.clear();
+  probation_rollback_costs_.clear();
   return out;
 }
 

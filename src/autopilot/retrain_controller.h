@@ -10,7 +10,6 @@
 
 #include "advisor/advisor_handle.h"
 #include "autopilot/drift_monitor.h"
-#include "costmodel/workload_cost_tracker.h"
 #include "serving/model_registry.h"
 #include "util/eval_context.h"
 
@@ -79,10 +78,10 @@ const char* TickActionName(TickOutcome::Action action);
 /// \brief Owns the incumbent advisor and runs the adaptation pipeline: on a
 /// drift verdict it snapshots the incumbent, incrementally trains a replica
 /// candidate on a background `EvalContext`, validates candidate vs incumbent
-/// designs over the holdout mixes with `WorkloadCostTracker`s, hot-swaps
-/// through every registered `serving::ModelRegistry` target, and watches a
-/// probation window that rolls the previous incumbent back if the fresh
-/// deployment regresses.
+/// designs over the holdout mixes (each design's per-query costs priced
+/// once, then weighted per mix), hot-swaps through every registered
+/// `serving::ModelRegistry` target, and watches a probation window that
+/// rolls the previous incumbent back if the fresh deployment regresses.
 ///
 /// Candidate replicas replay the incumbent's construction history (base
 /// workload + every absorbed query, in order) so snapshot shapes always
@@ -190,11 +189,6 @@ class RetrainController {
   /// Train + validate; runs inline or on worker_.
   RetrainResult RunRetrain(RetrainJob job);
   TickOutcome Apply(RetrainResult result);
-  double MeanDesignCost(const partition::PartitioningState& design,
-                        const std::vector<std::vector<double>>& mixes,
-                        costmodel::WorkloadCostTracker* tracker) const;
-  costmodel::WorkloadCostTracker MakeTracker(
-      const workload::Workload* workload) const;
   void JoinWorker();
 
   const schema::Schema* schema_;
@@ -229,8 +223,11 @@ class RetrainController {
   int probation_left_ = 0;
   double probation_deployed_sum_ = 0.0;
   double probation_rollback_sum_ = 0.0;
-  std::unique_ptr<costmodel::WorkloadCostTracker> probation_deployed_tracker_;
-  std::unique_ptr<costmodel::WorkloadCostTracker> probation_rollback_tracker_;
+  /// Per-query costs of the deployed and the rollback design under model_,
+  /// priced on the first probation tick, extended when the workload grows
+  /// and dropped when the model changes.
+  std::vector<double> probation_deployed_costs_;
+  std::vector<double> probation_rollback_costs_;
 
   /// Background training context (its pool is what "background EvalContext"
   /// means in sync mode; in async mode the worker thread drives it).

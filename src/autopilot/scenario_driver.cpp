@@ -4,7 +4,7 @@
 #include <ostream>
 #include <utility>
 
-#include "costmodel/workload_cost_tracker.h"
+#include "costmodel/weighted_cost.h"
 
 namespace lpa::autopilot {
 
@@ -17,13 +17,10 @@ double ObservedMixCost(const costmodel::CostModel* model,
   if (sum > 0.0) {
     for (double& f : mix) f = std::max(0.0, f) / sum;
   }
-  mix.resize(static_cast<size_t>(workload->num_queries()), 0.0);
-  costmodel::WorkloadCostTracker tracker(
-      workload, [model, workload](int q,
-                                  const partition::PartitioningState& state) {
-        return model->QueryCost(workload->query(q), state);
+  return costmodel::WeightedCost(
+      workload->num_queries(), mix, [&](int j, double) {
+        return model->QueryCost(workload->query(j), design);
       });
-  return tracker.Evaluate(design, mix);
 }
 
 costmodel::HardwareProfile ContendedProfile(

@@ -2,7 +2,7 @@
 
 #include "baselines/heuristics.h"
 #include "costmodel/cost_cache.h"
-#include "costmodel/workload_cost_tracker.h"
+#include "costmodel/weighted_cost.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -15,29 +15,18 @@ using partition::TablePartition;
 
 /// Workload-estimate evaluator over per-table designs.
 ///
-/// Two memo layers: the hill climb mutates one table per probe, so the
-/// WorkloadCostTracker re-prices only the queries touching that table, and
-/// the fingerprint-keyed CostCache underneath makes revisited
-/// (query, design) pairs free across non-adjacent probes (restored
-/// originals, restarts). The reduction stays in query order, so totals match
-/// the plain loop bit for bit.
+/// The hill climb mutates one table per probe, so most (query, design)
+/// pairs repeat across probes; the fingerprint-keyed CostCache makes every
+/// repeat free (including restored originals and restarts). Totals are
+/// reduced by costmodel::WeightedCost, so they match the plain loop bit for
+/// bit.
 class Evaluator {
  public:
   Evaluator(const schema::Schema& schema, const workload::Workload& workload,
             const partition::EdgeSet& edges,
             const costmodel::CostModel& estimator)
       : schema_(schema), workload_(workload), edges_(&edges),
-        estimator_(estimator),
-        tracker_(&workload,
-                 [this](int j, const PartitioningState& s) {
-                   uint64_t key = HashCombine(
-                       Hash64(static_cast<uint64_t>(j)),
-                       s.DesignFingerprint(
-                           query_tables_[static_cast<size_t>(j)]));
-                   return cache_.GetOrCompute(key, [&] {
-                     return estimator_.QueryCost(workload_.query(j), s);
-                   });
-                 }) {
+        estimator_(estimator) {
     for (const auto& q : workload.queries()) {
       query_tables_.push_back(q.tables());
     }
@@ -45,7 +34,15 @@ class Evaluator {
 
   double Cost(const std::vector<TablePartition>& design) {
     auto state = PartitioningState::FromDesign(&schema_, edges_, design);
-    return tracker_.Evaluate(state, workload_.frequencies());
+    return costmodel::WeightedCost(
+        workload_.num_queries(), workload_.frequencies(), [&](int j, double) {
+          uint64_t key = HashCombine(
+              Hash64(static_cast<uint64_t>(j)),
+              state.DesignFingerprint(query_tables_[static_cast<size_t>(j)]));
+          return cache_.GetOrCompute(key, [&] {
+            return estimator_.QueryCost(workload_.query(j), state);
+          });
+        });
   }
 
  private:
@@ -55,7 +52,6 @@ class Evaluator {
   const costmodel::CostModel& estimator_;
   std::vector<std::vector<schema::TableId>> query_tables_;
   costmodel::CostCache cache_;
-  costmodel::WorkloadCostTracker tracker_;
 };
 
 /// All per-table design options.

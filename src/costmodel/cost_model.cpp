@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "costmodel/weighted_cost.h"
 #include "telemetry/registry.h"
 #include "util/logging.h"
 
@@ -580,13 +581,10 @@ QueryPlan CostModel::PlanQuery(const workload::QuerySpec& query,
 
 double CostModel::WorkloadCost(const workload::Workload& workload,
                                const partition::PartitioningState& state) const {
-  double total = 0.0;
-  for (int i = 0; i < workload.num_queries(); ++i) {
-    double f = workload.frequencies()[static_cast<size_t>(i)];
-    if (f <= 0.0) continue;
-    total += f * QueryCost(workload.query(i), state);
-  }
-  return total;
+  return WeightedCost(workload.num_queries(), workload.frequencies(),
+                      [&](int j, double) {
+                        return QueryCost(workload.query(j), state);
+                      });
 }
 
 double CostModel::RepartitioningCost(

@@ -24,29 +24,26 @@ class PartitioningEnv {
                            const partition::PartitioningState& state,
                            double frequency) = 0;
 
-  /// \brief Frequency-weighted workload cost `sum_j f_j * c(P, q_j)`.
-  /// Entries with zero frequency are skipped (and never executed).
+  /// \brief Frequency-weighted workload cost `sum_j f_j * c(P, q_j)`,
+  /// reduced by `costmodel::WeightedCost`: queries in order, entries with
+  /// zero frequency skipped (and never executed).
   ///
-  /// When `ctx` carries a thread pool and the environment reports
-  /// SupportsParallelEval(), per-query costs are evaluated concurrently;
-  /// each cost lands in its query's slot and the weighted sum is reduced in
-  /// query order, so the result is bit-identical to the serial loop.
+  /// The base class prices each query serially through QueryCost and
+  /// ignores `ctx`; overrides may use `ctx` for their own parallelism (the
+  /// offline env fans its cost-cache misses over the pool, the online env
+  /// hands the pool to the engine) but must return the serial loop's total
+  /// bit for bit.
   virtual double WorkloadCost(const partition::PartitioningState& state,
                               const std::vector<double>& frequencies,
                               EvalContext* ctx = nullptr);
 
-  /// \brief Whether QueryCost may be called from multiple threads at once.
-  /// Environments with per-call mutable state (the online env deploys
-  /// designs and accounts runtimes) must return false; they are always
-  /// evaluated serially regardless of the context's thread count.
-  virtual bool SupportsParallelEval() const { return false; }
-
   /// \brief Whether QueryCost is a pure, frequency-independent function of
-  /// (query, designs of the query's tables), so workload costs may be
-  /// maintained incrementally by a `costmodel::WorkloadCostTracker` instead
-  /// of recomputed per step. The online environment must return false: its
-  /// costs carry per-call noise, timeout effects, and runtime accounting.
-  virtual bool SupportsIncrementalCost() const { return false; }
+  /// (query, designs of the query's tables) that may be called from several
+  /// threads at once. Callers rely on it to run rollouts, committee experts
+  /// and pruning bounds concurrently or from per-query cost floors. The
+  /// online environment returns false: it deploys designs and accounts
+  /// runtimes per call, and its costs carry noise and timeout effects.
+  virtual bool PureQueryCost() const { return false; }
 };
 
 }  // namespace lpa::rl

@@ -1,5 +1,6 @@
 #include "rl/offline_env.h"
 
+#include "costmodel/weighted_cost.h"
 #include "telemetry/registry.h"
 #include "util/hash.h"
 
@@ -7,10 +8,10 @@ namespace lpa::rl {
 
 namespace {
 
-/// Cost-model evaluation volume: one tick per QueryCost call (cache hit or
-/// not). Hit/miss/eviction breakdown lives in the CostCache's own
-/// `costmodel.cost_cache_*.count` counters — this is deliberately the only
-/// counter the env adds on top.
+/// Cost-model evaluation volume: one tick per cache probe (a QueryCost call
+/// or a weighted query of WorkloadCost, hit or not). The hit/miss/eviction
+/// breakdown lives in the CostCache's own `costmodel.cost_cache_*.count`
+/// counters — this is deliberately the only counter the env adds on top.
 struct OfflineEnvMetrics {
   telemetry::Counter& evals;
 
@@ -26,40 +27,10 @@ struct OfflineEnvMetrics {
 
 double PartitioningEnv::WorkloadCost(const partition::PartitioningState& state,
                                      const std::vector<double>& frequencies,
-                                     EvalContext* ctx) {
-  const int num_queries = workload().num_queries();
-  auto freq_at = [&frequencies](int j) {
-    return j < static_cast<int>(frequencies.size())
-               ? frequencies[static_cast<size_t>(j)]
-               : 0.0;
-  };
-  if (ctx != nullptr && ctx->pool() != nullptr && SupportsParallelEval()) {
-    // Fan out: each query's cost lands in its own slot, then the weighted
-    // sum runs in query order — bit-identical to the serial loop below.
-    std::vector<double> costs(static_cast<size_t>(num_queries), 0.0);
-    ctx->pool()->ParallelFor(
-        static_cast<size_t>(num_queries), 1, [&](size_t begin, size_t end) {
-          for (size_t j = begin; j < end; ++j) {
-            double f = freq_at(static_cast<int>(j));
-            if (f <= 0.0) continue;
-            costs[j] = QueryCost(static_cast<int>(j), state, f);
-          }
-        });
-    double total = 0.0;
-    for (int j = 0; j < num_queries; ++j) {
-      double f = freq_at(j);
-      if (f <= 0.0) continue;
-      total += f * costs[static_cast<size_t>(j)];
-    }
-    return total;
-  }
-  double total = 0.0;
-  for (int j = 0; j < num_queries; ++j) {
-    double f = freq_at(j);
-    if (f <= 0.0) continue;
-    total += f * QueryCost(j, state, f);
-  }
-  return total;
+                                     EvalContext* /*ctx*/) {
+  return costmodel::WeightedCost(
+      workload().num_queries(), frequencies,
+      [&](int j, double f) { return QueryCost(j, state, f); });
 }
 
 OfflineEnv::OfflineEnv(const costmodel::CostModel* model,
@@ -75,16 +46,59 @@ void OfflineEnv::SyncWorkload() {
   }
 }
 
+uint64_t OfflineEnv::CacheKey(int query_index,
+                              const partition::PartitioningState& state) const {
+  const auto& tables = query_tables_[static_cast<size_t>(query_index)];
+  return HashCombine(Hash64(static_cast<uint64_t>(query_index)),
+                     state.DesignFingerprint(tables));
+}
+
 double OfflineEnv::QueryCost(int query_index,
                              const partition::PartitioningState& state,
                              double /*frequency*/) {
   OfflineEnvMetrics::Get().evals.Add();
-  const auto& tables = query_tables_[static_cast<size_t>(query_index)];
-  uint64_t key = HashCombine(Hash64(static_cast<uint64_t>(query_index)),
-                             state.DesignFingerprint(tables));
-  return cache_.GetOrCompute(key, [&] {
+  return cache_.GetOrCompute(CacheKey(query_index, state), [&] {
     return model_->QueryCost(workload_->query(query_index), state);
   });
+}
+
+double OfflineEnv::WorkloadCost(const partition::PartitioningState& state,
+                                const std::vector<double>& frequencies,
+                                EvalContext* ctx) {
+  const int num_queries = workload_->num_queries();
+  // Probe every weighted query on this thread; hits land in their slots.
+  std::vector<double> costs(static_cast<size_t>(num_queries), 0.0);
+  std::vector<int> misses;
+  std::vector<uint64_t> miss_keys;
+  uint64_t probes = 0;
+  for (int j = 0; j < num_queries; ++j) {
+    if (costmodel::FrequencyAt(frequencies, j) <= 0.0) continue;
+    ++probes;
+    uint64_t key = CacheKey(j, state);
+    if (auto hit = cache_.Lookup(key)) {
+      costs[static_cast<size_t>(j)] = *hit;
+    } else {
+      misses.push_back(j);
+      miss_keys.push_back(key);
+    }
+  }
+  OfflineEnvMetrics::Get().evals.Add(probes);
+
+  // Plan the misses. Each plan is a pure function of (query, state) written
+  // to its own slot, so the fan-out is scheduling-independent; the cache
+  // tolerates concurrent inserts.
+  auto plan = [&](size_t i) {
+    int j = misses[i];
+    double cost = model_->QueryCost(workload_->query(j), state);
+    costs[static_cast<size_t>(j)] = cost;
+    cache_.Insert(miss_keys[i], cost);
+  };
+  if (ctx != nullptr && ctx->pool() != nullptr && misses.size() > 1) {
+    ctx->pool()->ParallelForEach(misses.size(), 1, plan);
+  } else {
+    for (size_t i = 0; i < misses.size(); ++i) plan(i);
+  }
+  return costmodel::WeightedCost(costs, frequencies);
 }
 
 }  // namespace lpa::rl

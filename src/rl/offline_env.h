@@ -17,11 +17,11 @@ namespace lpa::rl {
 /// maintained per-table design hashes, so a probe costs O(|query tables|)
 /// hash combines and no string construction.
 ///
-/// The cost model is stateless, so this environment supports both parallel
-/// evaluation (WorkloadCost fans per-query costs out across the context's
-/// thread pool) and incremental costing (trainers wrap it in a
-/// `costmodel::WorkloadCostTracker` and re-price only queries touching
-/// tables an action mutated).
+/// This cache is the only memo that prices offline states. The cost model
+/// is stateless, so QueryCost is pure and thread-safe, and WorkloadCost
+/// probes the cache for every weighted query on the calling thread, then
+/// plans only the misses — across the context's thread pool when there are
+/// at least two.
 class OfflineEnv : public PartitioningEnv {
  public:
   OfflineEnv(const costmodel::CostModel* model,
@@ -32,8 +32,16 @@ class OfflineEnv : public PartitioningEnv {
   double QueryCost(int query_index, const partition::PartitioningState& state,
                    double frequency) override;
 
-  bool SupportsParallelEval() const override { return true; }
-  bool SupportsIncrementalCost() const override { return true; }
+  /// \brief Probe the cache for every query with f > 0, plan the misses
+  /// (fanned out over `ctx`'s pool when it has one and at least two queries
+  /// missed; each plan lands in its own slot and is inserted into the
+  /// cache), then reduce in query order. Bit-identical to the serial
+  /// QueryCost loop at every thread count.
+  double WorkloadCost(const partition::PartitioningState& state,
+                      const std::vector<double>& frequencies,
+                      EvalContext* ctx = nullptr) override;
+
+  bool PureQueryCost() const override { return true; }
 
   /// \brief Extend the per-query table lists after the workload gained
   /// queries (incremental training). NOT thread-safe; call between
@@ -42,14 +50,19 @@ class OfflineEnv : public PartitioningEnv {
 
   size_t cache_size() const { return cache_.size(); }
   size_t cache_hits() const { return cache_.stats().hits; }
-  /// \brief Cost-model cache probes (hits + misses) — every QueryCost call
-  /// probes exactly once.
+  /// \brief Cost-model cache probes (hits + misses): one per QueryCost
+  /// call and one per weighted query of a WorkloadCost call.
   size_t evaluations() const {
     auto s = cache_.stats();
     return s.hits + s.misses;
   }
 
  private:
+  /// Cache key of query `query_index` under `state`: the query index
+  /// combined with the fingerprint of the design of the query's tables.
+  uint64_t CacheKey(int query_index,
+                    const partition::PartitioningState& state) const;
+
   const costmodel::CostModel* model_;
   const workload::Workload* workload_;
   /// Tables referenced per query (cache-key scope), built eagerly in the

@@ -57,9 +57,9 @@ class OnlineEnv : public PartitioningEnv {
   /// design is deployed eagerly before any query runs; it also maintains the
   /// best-known workload cost used by the timeout rule. The online env
   /// mutates cluster state per query, so the per-query loop itself never
-  /// parallelizes (the base class honours SupportsParallelEval() = false) —
-  /// but `ctx`'s thread pool is handed down into `ExecuteQuery`, whose
-  /// per-node kernels fan out deterministically *inside* each query.
+  /// parallelizes (the base class's loop is serial) — but `ctx`'s thread
+  /// pool is handed down into `ExecuteQuery`, whose per-node kernels fan
+  /// out deterministically *inside* each query.
   double WorkloadCost(const partition::PartitioningState& state,
                       const std::vector<double>& frequencies,
                       EvalContext* ctx = nullptr) override;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
-#include "costmodel/workload_cost_tracker.h"
 #include "rl/trainer_metrics.h"
 #include "search/action_pruner.h"
 #include "telemetry/registry.h"
@@ -70,30 +68,7 @@ TrainingResult EpisodeTrainer::Train(DqnAgent* agent, PartitioningEnv* env,
   Rng* rng = ctx->rng();
   TrainingResult result;
 
-  // Delta-cost engine: each action mutates at most two tables, so only the
-  // queries touching them are re-priced per step (Evaluate's auto-diff also
-  // covers the episode reset, where the state jumps back to s0). Query costs
-  // are frequency-independent, so the vector stays valid across episodes'
-  // changing workload mixes. The online env keeps the full-recompute path.
-  std::unique_ptr<costmodel::WorkloadCostTracker> tracker;
-  EvalContext* fanout_ctx = env->SupportsParallelEval() ? ctx : nullptr;
-  if (env->SupportsIncrementalCost()) {
-    tracker = std::make_unique<costmodel::WorkloadCostTracker>(
-        &env->workload(),
-        [env](int j, const partition::PartitioningState& s) {
-          return env->QueryCost(j, s, 1.0);
-        });
-  }
-  {
-    // Reward normalizer: workload cost of s0 under a uniform mix. Running it
-    // through the tracker also seeds the cost vector for episode 1.
-    std::vector<double> uniform(
-        static_cast<size_t>(env->workload().num_queries()), 1.0);
-    result.normalization =
-        tracker != nullptr ? tracker->Evaluate(InitialState(), uniform, fanout_ctx)
-                           : env->WorkloadCost(InitialState(), uniform, ctx);
-    LPA_CHECK(result.normalization > 0.0);
-  }
+  result.normalization = Normalization(env, ctx);
   const int tmax = agent->config().tmax;
   LPA_CHECK(tmax >= schema_->num_tables());
   auto& sgd_steps = telemetry::MetricsRegistry::Global().GetCounter(
@@ -110,17 +85,7 @@ TrainingResult EpisodeTrainer::Train(DqnAgent* agent, PartitioningEnv* env,
     for (int t = 0; t < tmax; ++t) {
       int action = agent->SelectAction(enc, legal, rng);  // line 6
       LPA_CHECK(actions_->Apply(action, &state).ok());    // line 7
-      double cost;  // line 8
-      if (tracker == nullptr) {
-        cost = env->WorkloadCost(state, freqs, ctx);
-      } else if (t == 0) {
-        // Episode start: the tracker is synced to the previous episode's
-        // final state, so the action hint alone would miss the reset diff.
-        cost = tracker->Evaluate(state, freqs, fanout_ctx);
-      } else {
-        cost = tracker->EvaluateDelta(state, actions_->AffectedTables(action),
-                                      freqs, fanout_ctx);
-      }
+      double cost = env->WorkloadCost(state, freqs, ctx);  // line 8
       double reward = 1.0 - cost / result.normalization;
       episode_best = std::max(episode_best, reward);
 
@@ -211,8 +176,8 @@ void ExtraRollouts(const DqnAgent& agent,
     return;
   }
   std::vector<Rng> rngs = ctx->ForkRngs(static_cast<size_t>(extra_rollouts));
-  // Materialize the per-rollout objectives on this thread: tracker-backed
-  // objectives allocate, and construction order must not depend on pool
+  // Materialize the per-rollout objectives on this thread, so factories need
+  // not be thread-safe and construction order does not depend on pool
   // scheduling.
   std::vector<EpisodeTrainer::StateObjective> objectives;
   objectives.reserve(static_cast<size_t>(extra_rollouts));
@@ -356,8 +321,6 @@ InferenceResult EpisodeTrainer::Infer(const DqnAgent& agent,
                                       EvalContext* ctx) const {
   StateObjective objective = MakeEnvObjective(env, &frequencies, ctx)();
   partition::PartitioningState state = InitialState();
-  // Pricing s0 first also syncs a tracker-backed objective to s0, so each
-  // subsequent rollout state is delta-costed against its predecessor.
   InferenceResult result{state, objective(state), {}};
   Rollout(agent, objective, frequencies, *featurizer_, *actions_, 0.0, nullptr,
           /*record_actions=*/true, &result, state);
@@ -375,7 +338,7 @@ InferenceResult EpisodeTrainer::InferBest(
   ObjectiveFactory factory = MakeEnvObjective(env, &frequencies, nullptr);
   ExtraRollouts(agent, factory, frequencies, *featurizer_, *actions_,
                 InitialState(), extra_rollouts, epsilon, ctx,
-                /*parallel_ok=*/env->SupportsParallelEval(), &result);
+                /*parallel_ok=*/env->PureQueryCost(), &result);
   return result;
 }
 
@@ -383,7 +346,7 @@ InferenceResult EpisodeTrainer::InferBestPruned(
     const DqnAgent& agent, PartitioningEnv* env,
     const std::vector<double>& frequencies, int extra_rollouts, double epsilon,
     const search::ActionPruner& pruner, EvalContext* ctx) const {
-  if (!env->SupportsIncrementalCost()) {
+  if (!env->PureQueryCost()) {
     // The bounds rely on the pure query-cost contract; environments without
     // it (the online env's measured runtimes) price every state as usual.
     return InferBest(agent, env, frequencies, extra_rollouts, epsilon, ctx);
@@ -399,7 +362,7 @@ InferenceResult EpisodeTrainer::InferBestPruned(
   tm.inference_rollouts.Add();
   auto session = pruner.NewSession();
   partition::PartitioningState state = InitialState();
-  InferenceResult result{state, session->PriceExact(state, {}, frequencies),
+  InferenceResult result{state, session->PriceExact(state, frequencies),
                          {}};
   std::vector<TrajStep> traj;
   traj.reserve(static_cast<size_t>(tmax));
@@ -440,7 +403,7 @@ InferenceResult EpisodeTrainer::InferBestPruned(
                          traj, greedy_best, epsilon, &rngs[i], &locals[i],
                          &local_counters[i], InitialState());
     };
-    if (env->SupportsParallelEval() && ctx->pool() != nullptr) {
+    if (env->PureQueryCost() && ctx->pool() != nullptr) {
       ctx->pool()->ParallelForEach(static_cast<size_t>(extra_rollouts), 1,
                                    run_one);
     } else {
@@ -480,20 +443,6 @@ InferenceResult EpisodeTrainer::InferObjective(
 EpisodeTrainer::ObjectiveFactory MakeEnvObjective(
     PartitioningEnv* env, const std::vector<double>* frequencies,
     EvalContext* ctx) {
-  EvalContext* fanout_ctx = env->SupportsParallelEval() ? ctx : nullptr;
-  if (env->SupportsIncrementalCost()) {
-    return [env, frequencies, fanout_ctx]() -> EpisodeTrainer::StateObjective {
-      auto tracker = std::make_shared<costmodel::WorkloadCostTracker>(
-          &env->workload(),
-          [env](int j, const partition::PartitioningState& s) {
-            return env->QueryCost(j, s, 1.0);
-          });
-      return [tracker, frequencies,
-              fanout_ctx](const partition::PartitioningState& s) {
-        return tracker->Evaluate(s, *frequencies, fanout_ctx);
-      };
-    };
-  }
   return [env, frequencies, ctx]() -> EpisodeTrainer::StateObjective {
     return [env, frequencies, ctx](const partition::PartitioningState& s) {
       return env->WorkloadCost(s, *frequencies, ctx);

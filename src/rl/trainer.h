@@ -43,7 +43,7 @@ struct InferenceResult {
 ///
 /// All entry points take an `EvalContext` carrying the thread pool, the RNG
 /// stream, and the metrics sink. With `ctx->pool()` set and an environment
-/// that `SupportsParallelEval()`, per-step workload costs fan out over
+/// whose `PureQueryCost()` holds, per-step cost-cache misses fan out over
 /// queries and the extra inference rollouts run concurrently — each rollout
 /// on its own forked sub-RNG derived from a single master draw, with results
 /// merged in rollout-index order, so a seeded run is bit-identical at every
@@ -103,8 +103,8 @@ class EpisodeTrainer {
   /// from its own forked RNG in the same order, and only updates that
   /// provably cannot fire are skipped. With ε > 0 the result's cost is
   /// within (1+ε) of the unpruned one. Falls back to plain InferBest when
-  /// the environment does not support incremental costing (the bounds rely
-  /// on the pure query-cost contract).
+  /// the environment's QueryCost is not pure (the bounds rely on that
+  /// contract).
   InferenceResult InferBestPruned(const DqnAgent& agent, PartitioningEnv* env,
                                   const std::vector<double>& frequencies,
                                   int extra_rollouts, double epsilon,
@@ -118,12 +118,10 @@ class EpisodeTrainer {
   ///
   /// The caller supplies an objective FACTORY, not a single objective: each
   /// rollout (the greedy one and every extra) gets its own objective
-  /// instance, so stateful objectives — notably ones backed by a
-  /// `costmodel::WorkloadCostTracker`, which delta-costs the consecutive
-  /// states of a rollout — need no internal synchronization. When `ctx` has
-  /// a pool the extra rollouts run concurrently, so the factory's products
-  /// must be independent (shared lower layers like the cost cache must be
-  /// thread-safe).
+  /// instance, so stateful objectives need no internal synchronization.
+  /// When `ctx` has a pool the extra rollouts run concurrently, so the
+  /// factory's products must be independent (shared lower layers like the
+  /// cost cache must be thread-safe).
   using StateObjective = std::function<double(const partition::PartitioningState&)>;
   using ObjectiveFactory = std::function<StateObjective()>;
   InferenceResult InferObjective(const DqnAgent& agent,
@@ -147,13 +145,10 @@ class EpisodeTrainer {
   const partition::Featurizer* featurizer_;
 };
 
-/// \brief Objective factory that prices states through `env`: each product
-/// wraps a fresh `costmodel::WorkloadCostTracker` when the environment
-/// supports incremental costing (consecutive rollout states are then
-/// delta-costed), and falls back to plain `env->WorkloadCost` otherwise.
-/// `frequencies` is captured by pointer and must outlive the products; `ctx`
-/// (nullable) parallelizes per-query pricing and is ignored when the
-/// environment does not support parallel evaluation.
+/// \brief Objective factory whose products price states with
+/// `env->WorkloadCost(state, *frequencies, ctx)`. `frequencies` is captured
+/// by pointer and must outlive the products; `ctx` (nullable) is passed
+/// through, so the offline env fans its cost-cache misses over its pool.
 EpisodeTrainer::ObjectiveFactory MakeEnvObjective(
     PartitioningEnv* env, const std::vector<double>* frequencies,
     EvalContext* ctx);

@@ -3,24 +3,25 @@
 #include <algorithm>
 #include <functional>
 
-#include "search/bounds.h"
+#include "costmodel/weighted_cost.h"
 #include "util/logging.h"
 
 namespace lpa::search {
 
-ActionPruner::ActionPruner(
-    const schema::Schema* schema, const workload::Workload* workload,
-    const partition::EdgeSet* edges,
-    costmodel::WorkloadCostTracker::QueryCostFn query_cost,
-    ActionPrunerConfig config)
-    : schema_(schema),
-      workload_(workload),
-      edges_(edges),
-      query_cost_(std::move(query_cost)),
-      config_(config) {
+ActionPruner::ActionPruner(const schema::Schema* schema,
+                           const workload::Workload* workload,
+                           const partition::EdgeSet* edges,
+                           QueryCostFn query_cost, ActionPrunerConfig config)
+    : query_cost_(std::move(query_cost)), config_(config) {
   LPA_CHECK(config_.prune_epsilon >= 0.0);
-  minq_ = ComputeQueryLowerBounds(*schema_, *workload_, *edges_, query_cost_,
+  minq_ = ComputeQueryLowerBounds(*schema, *workload, *edges, query_cost_,
                                   config_.max_bound_enum);
+  table_queries_.resize(static_cast<size_t>(schema->num_tables()));
+  for (int j = 0; j < workload->num_queries(); ++j) {
+    for (schema::TableId t : workload->query(j).tables()) {
+      table_queries_[static_cast<size_t>(t)].push_back(j);
+    }
+  }
 }
 
 double ActionPruner::GlobalLowerBound(
@@ -33,17 +34,39 @@ std::unique_ptr<ActionPruner::Session> ActionPruner::NewSession() const {
 }
 
 ActionPruner::Session::Session(const ActionPruner* owner)
-    : owner_(owner), tracker_(owner->workload_, owner->query_cost_) {}
+    : owner_(owner),
+      costs_(owner->minq_.size(), 0.0),
+      priced_(owner->minq_.size(), 0) {}
 
 double ActionPruner::Session::PriceExact(
     const partition::PartitioningState& state,
-    const std::vector<schema::TableId>& affected,
     const std::vector<double>& frequencies) {
-  pending_.insert(pending_.end(), affected.begin(), affected.end());
-  last_total_ = tracker_.EvaluateDelta(state, pending_, frequencies);
+  std::fill(priced_.begin(), priced_.end(), 0);
+  last_total_ = costmodel::WeightedCost(
+      static_cast<int>(costs_.size()), frequencies, [&](int j, double) {
+        size_t sj = static_cast<size_t>(j);
+        costs_[sj] = owner_->query_cost_(j, state);
+        priced_[sj] = 1;
+        return costs_[sj];
+      });
   pending_.clear();
   priced_once_ = true;
   return last_total_;
+}
+
+double ActionPruner::Session::DeltaLowerBound(
+    const std::vector<double>& frequencies) const {
+  std::vector<char> touched(costs_.size(), 0);
+  for (schema::TableId t : pending_) {
+    for (int j : owner_->table_queries_[static_cast<size_t>(t)]) {
+      touched[static_cast<size_t>(j)] = 1;
+    }
+  }
+  return costmodel::WeightedCost(
+      static_cast<int>(costs_.size()), frequencies, [&](int j, double) {
+        size_t sj = static_cast<size_t>(j);
+        return touched[sj] || !priced_[sj] ? owner_->minq_[sj] : costs_[sj];
+      });
 }
 
 ActionPruner::Session::PriceResult ActionPruner::Session::PriceOrPrune(
@@ -51,29 +74,20 @@ ActionPruner::Session::PriceResult ActionPruner::Session::PriceOrPrune(
     const std::vector<schema::TableId>& affected,
     const std::vector<double>& frequencies, double threshold) {
   pending_.insert(pending_.end(), affected.begin(), affected.end());
-  const double lb =
-      tracker_.DeltaLowerBound(pending_, owner_->minq_, frequencies);
+  const double lb = DeltaLowerBound(frequencies);
   if (lb * (1.0 + owner_->config_.prune_epsilon) >= threshold) {
     // The bound already rules out beating the threshold; leave the state
     // unpriced and remember the drifted tables for the next exact pricing.
     return PriceResult{lb, false};
   }
-  last_total_ = tracker_.EvaluateDelta(state, pending_, frequencies);
-  pending_.clear();
-  priced_once_ = true;
-  return PriceResult{last_total_, true};
+  return PriceResult{PriceExact(state, frequencies), true};
 }
 
 double ActionPruner::Session::ReachableLowerBound(
     const std::vector<double>& frequencies, int horizon) const {
   LPA_CHECK(synced());
   if (horizon <= 0) return last_total_;
-  const int num_tables = owner_->schema_->num_tables();
-  auto freq_at = [&frequencies](int j) {
-    return j < static_cast<int>(frequencies.size())
-               ? frequencies[static_cast<size_t>(j)]
-               : 0.0;
-  };
+  const int num_tables = static_cast<int>(owner_->table_queries_.size());
   // potential(t): the most the total can drop if table t is re-designed —
   // every query on t falls from its current cost to its floor. A query on
   // two re-designed tables is counted twice, which only loosens the bound.
@@ -81,12 +95,11 @@ double ActionPruner::Session::ReachableLowerBound(
   potentials.reserve(static_cast<size_t>(num_tables));
   for (schema::TableId t = 0; t < num_tables; ++t) {
     double p = 0.0;
-    for (int j : tracker_.QueriesOf(t)) {
-      double f = freq_at(j);
-      if (f <= 0.0 || !tracker_.Priced(j)) continue;
+    for (int j : owner_->table_queries_[static_cast<size_t>(t)]) {
+      double f = costmodel::FrequencyAt(frequencies, j);
       size_t sj = static_cast<size_t>(j);
-      double floor = sj < owner_->minq_.size() ? owner_->minq_[sj] : 0.0;
-      p += f * std::max(0.0, tracker_.QueryCostAt(j) - floor);
+      if (f <= 0.0 || !priced_[sj]) continue;
+      p += f * std::max(0.0, costs_[sj] - owner_->minq_[sj]);
     }
     potentials.push_back(p);
   }
@@ -100,13 +113,6 @@ double ActionPruner::Session::ReachableLowerBound(
   double drop = 0.0;
   for (size_t i = 0; i < movable; ++i) drop += potentials[i];
   return last_total_ - drop;
-}
-
-void ActionPruner::Session::Reset() {
-  tracker_.Reset();
-  pending_.clear();
-  last_total_ = 0.0;
-  priced_once_ = false;
 }
 
 }  // namespace lpa::search

@@ -3,9 +3,9 @@
 #include <memory>
 #include <vector>
 
-#include "costmodel/workload_cost_tracker.h"
 #include "partition/partition_state.h"
 #include "schema/schema.h"
+#include "search/bounds.h"
 #include "workload/workload.h"
 
 namespace lpa::search {
@@ -28,25 +28,30 @@ struct ActionPrunerConfig {
 /// incumbent.
 ///
 /// Construction precomputes per-query unconstrained cost floors minq_j
-/// (`ComputeQueryLowerBounds`). Each rollout owns a `Session`: an
-/// incremental `WorkloadCostTracker` plus the set of tables whose design
-/// drifted since the last exact pricing ("pending"). On every visited state
-/// the session forms the bound
+/// (`ComputeQueryLowerBounds`) and the table→queries index. Each rollout
+/// owns a `Session`: the per-query costs of its last exact pricing plus the
+/// set of tables whose design drifted since then ("pending"). On every
+/// visited state the session forms the bound
 ///
 ///   LB = Σ_{j: f_j>0} f_j · (touched(j) ? minq_j : cost_j)
 ///
 /// where touched(j) ⇔ query j references a pending-or-just-changed table
-/// (or was never priced). LB lower-bounds the state's true cost, so when
+/// (or was not priced). LB lower-bounds the state's true cost, so when
 /// LB·(1+ε) ≥ threshold the exact pricing is skipped — with a strict-<
 /// incumbent update and ε = 0, skipping is output-identical.
 ///
+/// An exact pricing prices every f>0 query through `query_cost` (so, for the
+/// advisor, through the offline env's cost cache) and reduces with
+/// `costmodel::WeightedCost`, so its total is bit-identical to
+/// `OfflineEnv::WorkloadCost`.
+///
 /// Sound only for plain workload-cost objectives: transition-cost terms are
-/// not part of the bound.
+/// not part of the bound. The pruner covers the workload's queries at
+/// construction; rebuild it after the workload grows.
 class ActionPruner {
  public:
   ActionPruner(const schema::Schema* schema, const workload::Workload* workload,
-               const partition::EdgeSet* edges,
-               costmodel::WorkloadCostTracker::QueryCostFn query_cost,
+               const partition::EdgeSet* edges, QueryCostFn query_cost,
                ActionPrunerConfig config = {});
 
   /// \brief Per-query admissible floors (index = query index).
@@ -66,10 +71,9 @@ class ActionPruner {
       bool exact = false;
     };
 
-    /// \brief Price `state` exactly (delta-costed over the pending set plus
-    /// `affected`), clearing the pending set.
+    /// \brief Price every f>0 query of `state` exactly, clearing the
+    /// pending set.
     double PriceExact(const partition::PartitioningState& state,
-                      const std::vector<schema::TableId>& affected,
                       const std::vector<double>& frequencies);
 
     /// \brief Price `state` exactly unless its admissible lower bound
@@ -101,15 +105,19 @@ class ActionPruner {
     double ReachableLowerBound(const std::vector<double>& frequencies,
                                int horizon) const;
 
-    /// \brief Forget all pricing state (next pricing is a full evaluation).
-    void Reset();
-
    private:
     friend class ActionPruner;
     Session(const ActionPruner* owner);
 
+    /// Σ f_j · (touched(j) || !priced(j) ? minq_j : cost_j) over f_j > 0,
+    /// touched(j) ⇔ query j references a pending table. Prices nothing.
+    double DeltaLowerBound(const std::vector<double>& frequencies) const;
+
     const ActionPruner* owner_;
-    costmodel::WorkloadCostTracker tracker_;
+    /// costs_[j]: query j's cost at the last exact pricing, meaningful iff
+    /// priced_[j] (query j had f > 0 then).
+    std::vector<double> costs_;
+    std::vector<char> priced_;
     /// Tables whose design drifted across skipped pricings.
     std::vector<schema::TableId> pending_;
     double last_total_ = 0.0;
@@ -119,12 +127,11 @@ class ActionPruner {
   std::unique_ptr<Session> NewSession() const;
 
  private:
-  const schema::Schema* schema_;
-  const workload::Workload* workload_;
-  const partition::EdgeSet* edges_;
-  costmodel::WorkloadCostTracker::QueryCostFn query_cost_;
+  QueryCostFn query_cost_;
   ActionPrunerConfig config_;
   std::vector<double> minq_;
+  /// table_queries_[t]: indices of the queries referencing table t.
+  std::vector<std::vector<int>> table_queries_;
 };
 
 }  // namespace lpa::search

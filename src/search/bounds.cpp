@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "costmodel/weighted_cost.h"
 #include "util/logging.h"
 
 namespace lpa::search {
@@ -43,7 +44,7 @@ void ApplyOption(partition::PartitioningState* s, schema::TableId t,
 std::vector<double> ComputeQueryLowerBounds(
     const schema::Schema& schema, const workload::Workload& workload,
     const partition::EdgeSet& edges,
-    const costmodel::WorkloadCostTracker::QueryCostFn& query_cost,
+    const QueryCostFn& query_cost,
     int max_enum) {
   const int n = workload.num_queries();
   std::vector<double> lb(static_cast<size_t>(n), 0.0);
@@ -86,13 +87,7 @@ std::vector<double> ComputeQueryLowerBounds(
 
 double WeightedLowerBound(const std::vector<double>& query_lb,
                           const std::vector<double>& frequencies) {
-  double total = 0.0;
-  for (size_t j = 0; j < query_lb.size(); ++j) {
-    double f = j < frequencies.size() ? frequencies[j] : 0.0;
-    if (f <= 0.0) continue;
-    total += f * query_lb[j];
-  }
-  return total;
+  return costmodel::WeightedCost(query_lb, frequencies);
 }
 
 }  // namespace lpa::search

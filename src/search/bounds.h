@@ -1,13 +1,20 @@
 #pragma once
 
+#include <functional>
 #include <vector>
 
-#include "costmodel/workload_cost_tracker.h"
 #include "partition/partition_state.h"
 #include "schema/schema.h"
 #include "workload/workload.h"
 
 namespace lpa::search {
+
+/// \brief Prices one query under a state. Must be a pure,
+/// frequency-independent function of (query index, designs of the query's
+/// tables) — e.g. `OfflineEnv::QueryCost`, which goes through the env's
+/// cost cache.
+using QueryCostFn = std::function<double(
+    int query_index, const partition::PartitioningState& state)>;
 
 /// \brief All physical-design options of one table: hash partitioning by
 /// each partitionable column, plus replication. The enumeration order is
@@ -26,13 +33,11 @@ std::vector<partition::TablePartition> TableDesignOptions(
 /// cap the bound falls back to 0, which is trivially admissible (costs are
 /// non-negative), just less informative.
 ///
-/// `query_cost` must be a pure, frequency-independent function of
-/// (query index, designs of the query's tables) — the same contract as
-/// `costmodel::WorkloadCostTracker::QueryCostFn`.
+/// `query_cost` must honour the `QueryCostFn` contract.
 std::vector<double> ComputeQueryLowerBounds(
     const schema::Schema& schema, const workload::Workload& workload,
     const partition::EdgeSet& edges,
-    const costmodel::WorkloadCostTracker::QueryCostFn& query_cost,
+    const QueryCostFn& query_cost,
     int max_enum = 4096);
 
 /// \brief Frequency-weighted sum of per-query lower bounds — the global

@@ -6,7 +6,7 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "search/bounds.h"
+#include "costmodel/weighted_cost.h"
 #include "telemetry/registry.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -77,7 +77,7 @@ constexpr double kPruneGuard = 1.0 + 1e-12;
 DpDesigner::DpDesigner(const schema::Schema* schema,
                        const workload::Workload* workload,
                        const partition::EdgeSet* edges,
-                       costmodel::WorkloadCostTracker::QueryCostFn query_cost,
+                       QueryCostFn query_cost,
                        DpDesignerConfig config)
     : schema_(schema),
       workload_(workload),
@@ -441,7 +441,7 @@ DpResult DpDesigner::Run(const std::vector<double>& frequencies) {
 std::optional<std::pair<PartitioningState, double>> ExhaustiveOptimum(
     const schema::Schema& schema, const workload::Workload& workload,
     const partition::EdgeSet& edges,
-    const costmodel::WorkloadCostTracker::QueryCostFn& query_cost,
+    const QueryCostFn& query_cost,
     const std::vector<double>& frequencies, long long max_states) {
   const int num_tables = schema.num_tables();
   std::vector<std::vector<TablePartition>> options(
@@ -453,11 +453,6 @@ std::optional<std::pair<PartitioningState, double>> ExhaustiveOptimum(
     if (combos > max_states) return std::nullopt;
   }
   const int n = workload.num_queries();
-  auto freq_at = [&frequencies](int j) {
-    return j < static_cast<int>(frequencies.size())
-               ? frequencies[static_cast<size_t>(j)]
-               : 0.0;
-  };
   PartitioningState scratch = PartitioningState::Initial(&schema, &edges);
   std::vector<size_t> idx(static_cast<size_t>(num_tables), 0);
   double best_cost = 0.0;
@@ -468,12 +463,9 @@ std::optional<std::pair<PartitioningState, double>> ExhaustiveOptimum(
       ApplyOption(&scratch, t,
                   options[static_cast<size_t>(t)][idx[static_cast<size_t>(t)]]);
     }
-    double total = 0.0;
-    for (int j = 0; j < n; ++j) {
-      double f = freq_at(j);
-      if (f <= 0.0) continue;
-      total += f * query_cost(j, scratch);
-    }
+    double total = costmodel::WeightedCost(
+        n, frequencies,
+        [&](int j, double) { return query_cost(j, scratch); });
     if (first || total < best_cost) {
       best_cost = total;
       best_idx = idx;

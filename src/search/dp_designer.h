@@ -5,9 +5,9 @@
 #include <utility>
 #include <vector>
 
-#include "costmodel/workload_cost_tracker.h"
 #include "partition/partition_state.h"
 #include "schema/schema.h"
+#include "search/bounds.h"
 #include "workload/workload.h"
 
 namespace lpa::search {
@@ -72,9 +72,8 @@ struct DpResult {
 /// lowest g. Expansion within a level proceeds through geometrically
 /// growing cost windows, lowest f first.
 ///
-/// `query_cost` must be a pure, frequency-independent function of
-/// (query index, designs of the query's tables). Single-threaded; results
-/// are deterministic for fixed inputs.
+/// `query_cost` must honour the `QueryCostFn` contract. Single-threaded;
+/// results are deterministic for fixed inputs.
 ///
 /// Telemetry (process-global): search.nodes_expanded.count,
 /// search.pruned.count, search.merged.count, search.cost_windows.count.
@@ -82,7 +81,7 @@ class DpDesigner {
  public:
   DpDesigner(const schema::Schema* schema, const workload::Workload* workload,
              const partition::EdgeSet* edges,
-             costmodel::WorkloadCostTracker::QueryCostFn query_cost,
+             QueryCostFn query_cost,
              DpDesignerConfig config = {});
 
   /// \brief Search the design space for the given workload mix.
@@ -92,7 +91,7 @@ class DpDesigner {
   const schema::Schema* schema_;
   const workload::Workload* workload_;
   const partition::EdgeSet* edges_;
-  costmodel::WorkloadCostTracker::QueryCostFn query_cost_;
+  QueryCostFn query_cost_;
   DpDesignerConfig config_;
 };
 
@@ -104,7 +103,7 @@ std::optional<std::pair<partition::PartitioningState, double>>
 ExhaustiveOptimum(
     const schema::Schema& schema, const workload::Workload& workload,
     const partition::EdgeSet& edges,
-    const costmodel::WorkloadCostTracker::QueryCostFn& query_cost,
+    const QueryCostFn& query_cost,
     const std::vector<double>& frequencies, long long max_states = 1 << 16);
 
 }  // namespace lpa::search

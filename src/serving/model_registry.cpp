@@ -162,8 +162,8 @@ rl::InferenceResult ServingModel::Suggest(
   const partition::ActionSpace& actions = advisor_->actions();
   const rl::DqnAgent& agent = *advisor_->agent();
 
-  // Mirror EpisodeTrainer::Infer step for step (tracker-backed objective,
-  // s0 priced first, strict-< best tracking, GreedyAction's first-max
+  // Mirror EpisodeTrainer::Infer step for step (env objective, s0 priced
+  // first, strict-< best tracking, GreedyAction's first-max
   // tie-break) so the served result is bit-identical to Advisor::Suggest;
   // only the Q-evaluation detours through the batcher.
   rl::EpisodeTrainer::StateObjective objective =

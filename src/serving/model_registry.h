@@ -44,9 +44,9 @@ struct QuantizeSpec {
 /// `inference_extra_rollouts = 0` — with every Q-network evaluation routed
 /// through the batcher. Results are bit-identical to the unbatched advisor
 /// call for the same model and frequencies, at any batch size or worker
-/// count. Thread-safe: the network weights are only read, the pricing
-/// environment's cost cache is sharded and concurrent, and each request
-/// prices states through its own incremental-cost tracker.
+/// count. Thread-safe: the network weights are only read, and every request
+/// prices states through the pricing environment's cost cache, which is
+/// sharded and concurrent.
 ///
 /// `schema` and `cost_model` are borrowed and must outlive the model.
 class ServingModel {

@@ -1,5 +1,7 @@
 #include "serving/server.h"
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -208,6 +210,12 @@ void AdvisorServer::WorkerLoop() {
           "frequency vector has " + std::to_string(request.frequencies.size()) +
           " entries; the model serves " + std::to_string(num_queries) +
           " queries"));
+      continue;
+    }
+    // Non-finite weights would poison every total (see AdvisorHandle).
+    if (!std::all_of(request.frequencies.begin(), request.frequencies.end(),
+                     [](double f) { return std::isfinite(f); })) {
+      fail(Status::InvalidArgument("frequency vector has a non-finite entry"));
       continue;
     }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "advisor/advisor_handle.h"
 #include "advisor/committee.h"
 #include "schema/catalogs.h"
@@ -58,6 +61,27 @@ TEST_F(AdvisorTest, SuggestWithoutTrainingFailsWithStatus) {
   auto suggestion = handle.Suggest(request);
   ASSERT_FALSE(suggestion.ok());
   EXPECT_EQ(suggestion.status().code(), Status::Code::kFailedPrecondition);
+}
+
+TEST_F(AdvisorTest, SuggestRejectsNonFiniteFrequencies) {
+  // A NaN weight used to come back OK with best_cost = nan and the initial
+  // design: the f <= 0 skip lets NaN through and no cost compares below it.
+  AdvisorHandle handle(&schema_, workload_, FastConfig());
+  ASSERT_TRUE(handle.Train(TrainSpec::Offline(&model_, /*episodes=*/8)).ok());
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    SuggestRequest request;
+    request.frequencies = std::vector<double>(13, 1.0);
+    request.frequencies[3] = bad;
+    auto suggestion = handle.Suggest(request);
+    ASSERT_FALSE(suggestion.ok()) << bad;
+    EXPECT_EQ(suggestion.status().code(), Status::Code::kInvalidArgument);
+  }
+  // Negative entries are still served, as weight 0.
+  SuggestRequest request;
+  request.frequencies = std::vector<double>(13, 1.0);
+  request.frequencies[3] = -1.0;
+  EXPECT_TRUE(handle.Suggest(request).ok());
 }
 
 TEST_F(AdvisorTest, TmaxIsRaisedToTableCount) {

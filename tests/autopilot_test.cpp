@@ -16,7 +16,7 @@
 #include "advisor/advisor_handle.h"
 #include "autopilot/autopilot.h"
 #include "autopilot/scenarios.h"
-#include "costmodel/workload_cost_tracker.h"
+#include "costmodel/weighted_cost.h"
 #include "schema/catalogs.h"
 #include "serving/server.h"
 #include "telemetry/registry.h"
@@ -489,13 +489,10 @@ class AutopilotTest : public ::testing::Test {
                     const std::vector<double>& mix, const CostModel* model) {
     const workload::Workload* wl =
         &autopilot.controller().incumbent().advisor().workload();
-    costmodel::WorkloadCostTracker tracker(
-        wl, [model, wl](int q, const partition::PartitioningState& state) {
-          return model->QueryCost(wl->query(q), state);
+    return costmodel::WeightedCost(
+        wl->num_queries(), L1(mix), [&](int j, double) {
+          return model->QueryCost(wl->query(j), design);
         });
-    std::vector<double> padded = L1(mix);
-    padded.resize(static_cast<size_t>(wl->num_queries()), 0.0);
-    return tracker.Evaluate(design, padded);
   }
 
   static int Count(const std::vector<TickOutcome::Action>& actions,

@@ -1,17 +1,15 @@
-// Property tests for the incremental delta-cost engine: on random seeded
-// action walks the WorkloadCostTracker's totals must be bit-identical to a
-// from-scratch recompute — at every thread count, through Reset(), through
-// replication actions, and on both the auto-diff and the action-hint paths.
+// Bit-identity of the offline cost memo: on seeded random action walks,
+// OfflineEnv::WorkloadCost — cache probes on the calling thread, misses
+// planned across the context's pool — must equal the plain serial loop
+// sum_j f_j * CostModel::QueryCost bit for bit, on a cold and then a warm
+// cache, at 1, 2 and 8 threads.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "costmodel/cost_model.h"
-#include "costmodel/workload_cost_tracker.h"
 #include "partition/actions.h"
 #include "rl/offline_env.h"
 #include "schema/catalogs.h"
@@ -30,25 +28,19 @@ struct Testbed {
                          : workload::MakeTpcchWorkload(schema)),
         edges(partition::EdgeSet::Extract(schema, wl)),
         actions(&schema, &edges),
-        model(&schema, costmodel::HardwareProfile::DiskBased10G()),
-        env(&model, &wl) {}
+        model(&schema, costmodel::HardwareProfile::DiskBased10G()) {}
 
-  costmodel::WorkloadCostTracker MakeTracker() {
-    return costmodel::WorkloadCostTracker(
-        &wl, [this](int j, const partition::PartitioningState& s) {
-          return env.QueryCost(j, s, 1.0);
-        });
-  }
-
-  /// From-scratch reference: the serial weighted loop the tracker must match
-  /// bit for bit (same query order, same f<=0 skip rule).
-  double FullCost(const partition::PartitioningState& state,
-                  const std::vector<double>& freqs) {
-    return env.WorkloadCost(state, freqs);
-  }
-
-  partition::PartitioningState Initial() const {
-    return partition::PartitioningState::Initial(&schema, &edges);
+  /// Reference: the serial weighted loop, straight from the cost model — no
+  /// cache, no pool. Query order, f <= 0 skipped.
+  double SerialCost(const partition::PartitioningState& state,
+                    const std::vector<double>& freqs) const {
+    double total = 0.0;
+    for (int j = 0; j < wl.num_queries(); ++j) {
+      double f = freqs[static_cast<size_t>(j)];
+      if (f <= 0.0) continue;
+      total += f * model.QueryCost(wl.query(j), state);
+    }
+    return total;
   }
 
   schema::Schema schema;
@@ -56,133 +48,96 @@ struct Testbed {
   partition::EdgeSet edges;
   partition::ActionSpace actions;
   costmodel::CostModel model;
-  rl::OfflineEnv env;
 };
 
+/// A quarter of the weights are zero; the rest are light or heavy.
 std::vector<double> RandomFreqs(int m, Rng* rng) {
   std::vector<double> freqs(static_cast<size_t>(m));
   for (auto& f : freqs) {
-    // Mix of zero, light, and heavy weights; zeros exercise the unpriced-slot
-    // bookkeeping.
     double u = rng->Uniform();
     f = u < 0.25 ? 0.0 : u;
   }
   return freqs;
 }
 
-class IncrementalCostTest : public ::testing::TestWithParam<std::string> {};
+/// One step of the walk: the state after the action, and the mix to price.
+struct WalkStep {
+  partition::PartitioningState state;
+  std::vector<double> freqs;
+};
 
-TEST_P(IncrementalCostTest, RandomWalkMatchesFullRecomputeBitwise) {
+/// Seeded random walk in which every fifth step replicates a table when any
+/// replication is legal, and the mix is re-drawn every seventh step.
+std::vector<WalkStep> RandomWalk(const Testbed& tb, uint64_t seed, int steps) {
+  Rng rng(seed);
+  auto state = partition::PartitioningState::Initial(&tb.schema, &tb.edges);
+  auto freqs = RandomFreqs(tb.wl.num_queries(), &rng);
+  std::vector<WalkStep> walk;
+  for (int step = 0; step < steps; ++step) {
+    std::vector<int> legal = tb.actions.LegalActions(state);
+    if (step % 5 == 0) {
+      std::vector<int> replicate;
+      for (int a : legal) {
+        if (tb.actions.action(a).kind ==
+            partition::ActionKind::kReplicateTable) {
+          replicate.push_back(a);
+        }
+      }
+      if (!replicate.empty()) legal = replicate;
+    }
+    int action = legal[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
+    EXPECT_TRUE(tb.actions.Apply(action, &state).ok());
+    if (step % 7 == 6) freqs = RandomFreqs(tb.wl.num_queries(), &rng);
+    walk.push_back(WalkStep{state, freqs});
+  }
+  return walk;
+}
+
+class OfflineWorkloadCostTest : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(OfflineWorkloadCostTest, PooledCostMatchesSerialLoopBitwise) {
   Testbed tb(GetParam());
-  for (int threads : {1, 8}) {
+  const auto walk = RandomWalk(tb, GetParam() == "ssb" ? 101 : 202, 120);
+  int replicated_steps = 0;
+  for (const WalkStep& step : walk) {
+    for (schema::TableId t = 0; t < tb.schema.num_tables(); ++t) {
+      if (step.state.table_partition(t).replicated) {
+        ++replicated_steps;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(replicated_steps, 0) << "the walk must cover replicated designs";
+
+  for (int threads : {1, 2, 8}) {
     EvalContext ctx(threads, /*seed=*/7);
-    auto tracker = tb.MakeTracker();
-    Rng rng(GetParam() == "ssb" ? 101 : 202);
-    auto state = tb.Initial();
-    auto freqs = RandomFreqs(tb.wl.num_queries(), &rng);
-    for (int step = 0; step < 120; ++step) {
-      auto legal = tb.actions.LegalActions(state);
-      int action = legal[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
-      ASSERT_TRUE(tb.actions.Apply(action, &state).ok());
-      // Alternate the hint path and the auto-diff path.
-      double incremental =
-          (step % 2 == 0)
-              ? tracker.EvaluateDelta(state, tb.actions.AffectedTables(action),
-                                      freqs, &ctx)
-              : tracker.Evaluate(state, freqs, &ctx);
-      double full = tb.FullCost(state, freqs);
-      ASSERT_EQ(incremental, full)
-          << GetParam() << " step " << step << " threads " << threads;
-      // Change the mix every few steps: costs are frequency-independent, so
-      // the vector must stay valid across re-weighting.
-      if (step % 7 == 3) freqs = RandomFreqs(tb.wl.num_queries(), &rng);
+    rl::OfflineEnv env(&tb.model, &tb.wl);  // cold cache per thread count
+    for (const char* pass : {"cold", "warm"}) {
+      size_t hits_before = env.cache_hits();
+      size_t probes_before = env.evaluations();
+      for (size_t i = 0; i < walk.size(); ++i) {
+        const WalkStep& step = walk[i];
+        ASSERT_EQ(env.WorkloadCost(step.state, step.freqs, &ctx),
+                  tb.SerialCost(step.state, step.freqs))
+            << GetParam() << " " << pass << " step " << i << " threads "
+            << threads;
+      }
+      size_t probes = env.evaluations() - probes_before;
+      size_t hits = env.cache_hits() - hits_before;
+      EXPECT_GT(probes, 0u);
+      if (std::string(pass) == "warm") {
+        // Every (query, design) pair was planned on the cold pass.
+        EXPECT_EQ(hits, probes) << "threads " << threads;
+      } else {
+        EXPECT_LT(hits, probes) << "threads " << threads;
+      }
     }
   }
 }
 
-TEST_P(IncrementalCostTest, ResetRepricesAndStaysBitIdentical) {
-  Testbed tb(GetParam());
-  auto tracker = tb.MakeTracker();
-  Rng rng(77);
-  auto state = tb.Initial();
-  std::vector<double> uniform(static_cast<size_t>(tb.wl.num_queries()), 1.0);
-  for (int step = 0; step < 10; ++step) {
-    auto legal = tb.actions.LegalActions(state);
-    int action = legal[static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
-    ASSERT_TRUE(tb.actions.Apply(action, &state).ok());
-    tracker.EvaluateDelta(state, tb.actions.AffectedTables(action), uniform);
-  }
-  uint64_t resets_before = tracker.stats().resets;
-  tracker.Reset();
-  EXPECT_EQ(tracker.stats().resets, resets_before + 1);
-  uint64_t evals_before = tracker.stats().evals;
-  double after_reset = tracker.Evaluate(state, uniform);
-  EXPECT_EQ(after_reset, tb.FullCost(state, uniform));
-  // Every weighted query was re-priced from scratch.
-  EXPECT_EQ(tracker.stats().evals - evals_before,
-            static_cast<uint64_t>(tb.wl.num_queries()));
-  // The hint path with no synced state falls back to a full diff.
-  auto tracker2 = tb.MakeTracker();
-  uint64_t fallbacks_before = tracker2.stats().fallbacks;
-  double hinted = tracker2.EvaluateDelta(state, {}, uniform);
-  EXPECT_EQ(hinted, after_reset);
-  EXPECT_EQ(tracker2.stats().fallbacks, fallbacks_before + 1);
-}
-
-TEST_P(IncrementalCostTest, ReplicationActionsAreDeltaCosted) {
-  Testbed tb(GetParam());
-  auto tracker = tb.MakeTracker();
-  std::vector<double> uniform(static_cast<size_t>(tb.wl.num_queries()), 1.0);
-  auto state = tb.Initial();
-  tracker.Evaluate(state, uniform);  // sync at s0
-  for (schema::TableId t = 0; t < tb.schema.num_tables(); ++t) {
-    if (state.table_partition(t).replicated || state.TablePinned(t)) continue;
-    ASSERT_TRUE(state.Replicate(t).ok());
-    uint64_t evals_before = tracker.stats().evals;
-    double incremental = tracker.EvaluateDelta(state, {t}, uniform);
-    EXPECT_EQ(incremental, tb.FullCost(state, uniform)) << "table " << t;
-    // Only the queries touching t were re-priced.
-    EXPECT_LE(tracker.stats().evals - evals_before,
-              static_cast<uint64_t>(tb.wl.num_queries()));
-  }
-  // Across the sweep, queries not touching the mutated table were served
-  // from the vector. (Per-step skips can be zero — replicating the fact
-  // table dirties every query of a star schema.)
-  EXPECT_GT(tracker.stats().delta_skips, 0u);
-}
-
-TEST_P(IncrementalCostTest, DeltaStepsRepriceStrictlyFewerQueries) {
-  // The perf claim behind the engine: single-table mutations re-price only a
-  // fraction of what per-step full recomputes would. (Skips only *dominate*
-  // on multi-fact schemas like TPC-CH; on SSB every query touches the one
-  // fact table, so fact-table actions re-price everything.)
-  Testbed tb(GetParam());
-  auto tracker = tb.MakeTracker();
-  std::vector<double> uniform(static_cast<size_t>(tb.wl.num_queries()), 1.0);
-  auto state = tb.Initial();
-  tracker.Evaluate(state, uniform);
-  Rng rng(31);
-  const int steps = 40;
-  for (int step = 0; step < steps; ++step) {
-    auto legal = tb.actions.LegalActions(state);
-    int action = legal[static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
-    ASSERT_TRUE(tb.actions.Apply(action, &state).ok());
-    tracker.EvaluateDelta(state, tb.actions.AffectedTables(action), uniform);
-  }
-  uint64_t full_recompute_evals =
-      static_cast<uint64_t>(steps) * static_cast<uint64_t>(tb.wl.num_queries());
-  EXPECT_LT(tracker.stats().evals, full_recompute_evals);
-  EXPECT_EQ(tracker.stats().evals + tracker.stats().delta_skips,
-            full_recompute_evals + static_cast<uint64_t>(tb.wl.num_queries()));
-  if (GetParam() == "tpcch") {
-    EXPECT_GT(tracker.stats().delta_skips, tracker.stats().evals);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Schemas, IncrementalCostTest,
+INSTANTIATE_TEST_SUITE_P(Schemas, OfflineWorkloadCostTest,
                          ::testing::Values("ssb", "tpcch"));
 
 // ---------------------------------------------------------------------------

@@ -203,12 +203,18 @@ TEST_F(SsbRlTest, InferenceReturnsBestOnTrajectoryNotLast) {
 TEST_F(SsbRlTest, CacheMakesRepeatEvaluationsFree) {
   std::vector<double> uniform(13, 1.0);
   auto s0 = PartitioningState::Initial(&schema_, &edges_);
-  env_.WorkloadCost(s0, uniform);
-  size_t evals_before = env_.evaluations();
-  size_t hits_before = env_.cache_hits();
-  env_.WorkloadCost(s0, uniform);
-  EXPECT_EQ(env_.evaluations(), evals_before + 13);
-  EXPECT_EQ(env_.cache_hits(), hits_before + 13);
+  EvalContext pooled(/*threads=*/4, /*seed=*/1);
+  for (EvalContext* ctx : {static_cast<EvalContext*>(nullptr), &pooled}) {
+    OfflineEnv env(&model_, &workload_);  // cold cache
+    double cold = env.WorkloadCost(s0, uniform, ctx);
+    EXPECT_EQ(env.cache_hits(), 0u);
+    size_t evals_before = env.evaluations();
+    size_t hits_before = env.cache_hits();
+    EXPECT_EQ(env.WorkloadCost(s0, uniform, ctx), cold);
+    // Warm repeat: all 13 probes hit, so there are 0 misses to plan.
+    EXPECT_EQ(env.evaluations(), evals_before + 13);
+    EXPECT_EQ(env.cache_hits(), hits_before + 13);
+  }
 }
 
 TEST_F(SsbRlTest, CacheKeyScopesToRelevantTables) {

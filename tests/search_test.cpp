@@ -43,7 +43,7 @@ class MicroSearchTest : public ::testing::Test {
     workload_.SetUniformFrequencies();
   }
 
-  costmodel::WorkloadCostTracker::QueryCostFn QueryCost() const {
+  search::QueryCostFn QueryCost() const {
     return [this](int j, const PartitioningState& s) {
       return model_.QueryCost(workload_.query(j), s);
     };
@@ -187,11 +187,7 @@ TEST_F(MicroSearchTest, PrunerSessionBoundsAreAdmissibleAndExactWhenForced) {
 
   auto session = pruner.NewSession();
   PartitioningState s = PartitioningState::Initial(&schema_, &edges_);
-  std::vector<schema::TableId> all_tables;
-  for (schema::TableId t = 0; t < schema_.num_tables(); ++t) {
-    all_tables.push_back(t);
-  }
-  double exact = session->PriceExact(s, all_tables, freqs);
+  double exact = session->PriceExact(s, freqs);
   EXPECT_TRUE(session->synced());
 
   // Unreachable threshold: pricing must be skipped with an admissible bound.

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -367,6 +369,33 @@ TEST_F(ServingTest, TooWideFrequencyVectorFailsWithoutStoppingTheServer) {
   auto stats = server.stats();
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.rejected + stats.shed + stats.failed);
+}
+
+TEST_F(ServingTest, NonFiniteFrequencyFailsWithoutStoppingTheServer) {
+  ModelRegistry registry;
+  registry.Publish(MakeModel());
+  ServerConfig config;
+  config.worker_threads = 1;
+  AdvisorServer server(&registry, config);
+  ASSERT_TRUE(server.Start().ok());
+
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    std::vector<double> mix = Mix(0);
+    mix[0] = bad;
+    SuggestResponse response = server.Suggest(mix);
+    EXPECT_EQ(response.status.code(), Status::Code::kInvalidArgument);
+    EXPECT_FALSE(response.result.has_value());
+  }
+  SuggestResponse served = server.Suggest(Mix(1));
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  EXPECT_EQ(served.result->actions, SerialSuggest(Mix(1)).actions);
+  server.Stop();
+
+  auto stats = server.stats();
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.submitted,
             stats.completed + stats.rejected + stats.shed + stats.failed);
 }

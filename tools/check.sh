@@ -17,8 +17,10 @@
 #
 # The tsan preset builds with -DLPA_SANITIZE=thread into build-tsan and, by
 # default, runs only the tests that exercise the parallel evaluation engine
-# and the serving subsystem (TSan slows everything ~10x; the serial tests
-# gain nothing from it).
+# (including incremental_cost_test: the offline env's pooled cost-cache miss
+# fan-out, which writes disjoint slots and inserts into the cache
+# concurrently) and the serving subsystem (TSan slows everything ~10x; the
+# serial tests gain nothing from it).
 #
 # The serve preset builds serving_test and lpa_loadgen under TSan, runs the
 # serving tests, then drives a ~5-second loadgen smoke (1/2/8 workers with a
@@ -74,7 +76,8 @@
 # kernels of bench_micro_components (google benchmarks filtered out): the
 # Q-network kernel (GMAC/s of every GEMM shape of the TPC-CH train step and
 # DqnAgent::TrainStep us, serial and at 2 threads), the workload-cost kernel
-# (full recompute vs incremental delta costing) and the engine kernel
+# (OfflineEnv::WorkloadCost per step, serial and with the cache misses fanned
+# out on 2 threads) and the engine kernel
 # (pool-parallel ExecuteWorkload at 1/2/8 threads with bit-identity digest
 # checks). BENCH_qnetwork.json, BENCH_micro_components.json and
 # BENCH_engine.json land in $LPA_METRICS_DIR (or build-perf).
@@ -90,7 +93,7 @@ if [[ "${PRESET}" == "perf" ]]; then
   cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
   echo "== build bench_micro_components =="
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_micro_components
-  echo "== perf kernels: Q-network GEMMs + train step, workload-cost (full vs incremental), engine (pool-parallel) =="
+  echo "== perf kernels: Q-network GEMMs + train step, workload-cost (serial vs 2-thread miss fan-out), engine (pool-parallel) =="
   LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \
     "${BUILD_DIR}/bench/bench_micro_components" --benchmark_filter='^$'
   echo "== OK: matching digests above = bit-identical results; see BENCH_engine.json =="
@@ -220,7 +223,7 @@ fi
 if [[ "${PRESET}" == "tsan" ]]; then
   SANITIZE="${LPA_SANITIZE:-thread}"
   BUILD_DIR="${BUILD_DIR:-build-tsan}"
-  CTEST_FILTER="${CTEST_FILTER:-parallel_eval_test|serving_test|fleet_test}"
+  CTEST_FILTER="${CTEST_FILTER:-parallel_eval_test|incremental_cost_test|serving_test|fleet_test}"
 else
   SANITIZE="${LPA_SANITIZE:-address,undefined}"
   BUILD_DIR="${BUILD_DIR:-build-sanitize}"
