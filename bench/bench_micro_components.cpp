@@ -2,9 +2,9 @@
 // the library's hot paths — cost-model planning, featurization, NN forward/
 // train, engine execution, and data generation — plus four kernels run
 // after the google benchmarks: a Q-network kernel timing every GEMM shape of
-// the Table 1 network and the DQN train step at 1 and 2 threads
-// (BENCH_qnetwork.json), a workload-cost kernel timing the offline env's
-// per-step workload cost serially and at 2 threads
+// the Table 1 network on each kernel path and the DQN train step at 1 and 2
+// threads (BENCH_qnetwork.json), a workload-cost kernel timing the offline
+// env's per-step workload cost serially and at 2 threads
 // (BENCH_micro_components.json),
 // a storage kernel measuring encode/decode throughput and per-column
 // compression (BENCH_storage.json), and an engine kernel measuring
@@ -223,9 +223,12 @@ BENCHMARK(BM_ClassifyQueryInstance);
 // ---------------------------------------------------------------------------
 // Q-network kernel: the GEMMs of one DQN train step on TPC-CH dimensions
 // (76 state inputs, 128-64 hidden, 70 action heads, batch 32) and the whole
-// DqnAgent::TrainStep, serial and on a 2-thread pool. GMAC/s counts m*k*n
-// multiply-adds on dense random operands, so zero-skipping cannot inflate
-// it. Each figure is the median of 7 timed batches of about 20 ms.
+// DqnAgent::TrainStep, serial and on a 2-thread pool. Each GEMM shape runs
+// serially on every kernel path the CPU supports (scalar, AVX2, AVX-512) and
+// on the dispatched path at 2 threads; the `gemm_isa` note names the
+// dispatched path. GMAC/s counts m*k*n multiply-adds on dense random
+// operands, so zero-skipping cannot inflate it. Each figure is the median of
+// 7 timed batches of about 20 ms.
 
 /// Median over 7 batches of the seconds per call of `fn`.
 template <typename F>
@@ -254,7 +257,7 @@ void RunQNetworkKernel() {
   bench::BenchReport report("qnetwork");
   report.set_seed(42);
   report.set_schema("tpcch");
-  report.Note("avx2_kernels", nn::HaveAvx2() ? "true" : "false");
+  report.Note("gemm_isa", nn::GemmIsaName(nn::DispatchedGemmIsa()));
   EvalContext two(2, 7);
   Rng rng(42);
   auto random = [&rng](size_t rows, size_t cols) {
@@ -266,39 +269,50 @@ void RunQNetworkKernel() {
   // op, m, k, n of C[m x n] = op(A) * op(B) with inner dimension k.
   struct Shape {
     const char* op;
+    nn::GemmOp kind;
     size_t m, k, n;
   };
   const Shape shapes[] = {
-      {"Gemm (forward)", 32, 76, 128},     {"Gemm (forward)", 32, 128, 64},
-      {"Gemm (forward)", 32, 64, 70},      {"GemmTransA (dW)", 76, 32, 128},
-      {"GemmTransA (dW)", 128, 32, 64},    {"GemmTransA (dW)", 64, 32, 70},
-      {"GemmTransB (dprev)", 32, 70, 64},  {"GemmTransB (dprev)", 32, 64, 128},
+      {"Gemm (forward)", nn::GemmOp::kPlain, 32, 76, 128},
+      {"Gemm (forward)", nn::GemmOp::kPlain, 32, 128, 64},
+      {"Gemm (forward)", nn::GemmOp::kPlain, 32, 64, 70},
+      {"GemmTransA (dW)", nn::GemmOp::kTransA, 76, 32, 128},
+      {"GemmTransA (dW)", nn::GemmOp::kTransA, 128, 32, 64},
+      {"GemmTransA (dW)", nn::GemmOp::kTransA, 64, 32, 70},
+      {"GemmTransB (dprev)", nn::GemmOp::kTransB, 32, 70, 64},
+      {"GemmTransB (dprev)", nn::GemmOp::kTransB, 32, 64, 128},
   };
-  TablePrinter gemms({"op", "m x k x n", "GMAC/s 1 thread", "GMAC/s 2 threads"});
+  // One serial column per kernel path ("-" where the CPU lacks it), then the
+  // dispatched path on the 2-thread pool.
+  const nn::GemmIsa isas[] = {nn::GemmIsa::kScalar, nn::GemmIsa::kAvx2,
+                              nn::GemmIsa::kAvx512};
+  std::vector<std::string> header = {"op", "m x k x n"};
+  for (nn::GemmIsa isa : isas) {
+    header.push_back(std::string("GMAC/s ") + nn::GemmIsaName(isa));
+  }
+  header.push_back("GMAC/s dispatched, 2 threads");
+  TablePrinter gemms(header);
   for (const auto& sh : shapes) {
-    const std::string op = sh.op;
-    const bool trans_a = op.rfind("GemmTransA", 0) == 0;
-    const bool trans_b = op.rfind("GemmTransB", 0) == 0;
-    nn::Matrix a = trans_a ? random(sh.k, sh.m) : random(sh.m, sh.k);
-    nn::Matrix b = trans_b ? random(sh.n, sh.k) : random(sh.k, sh.n);
+    nn::Matrix a = sh.kind == nn::GemmOp::kTransA ? random(sh.k, sh.m)
+                                                  : random(sh.m, sh.k);
+    nn::Matrix b = sh.kind == nn::GemmOp::kTransB ? random(sh.n, sh.k)
+                                                  : random(sh.k, sh.n);
     nn::Matrix c(sh.m, sh.n);
     std::vector<std::string> row = {
-        op, std::to_string(sh.m) + "x" + std::to_string(sh.k) + "x" +
-                std::to_string(sh.n)};
-    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), two.pool()}) {
+        sh.op, std::to_string(sh.m) + "x" + std::to_string(sh.k) + "x" +
+                   std::to_string(sh.n)};
+    auto gmacs = [&](nn::GemmIsa isa, ThreadPool* pool) {
       double s = MedianSecondsPerCall([&] {
-        if (trans_a) {
-          nn::GemmTransA(a, b, &c, pool);
-        } else if (trans_b) {
-          nn::GemmTransB(a, b, &c, pool);
-        } else {
-          nn::Gemm(a, b, &c, pool);
-        }
+        nn::GemmOnIsa(isa, sh.kind, a, b, &c, pool);
         benchmark::DoNotOptimize(c.data().data());
       });
-      row.push_back(FormatDouble(
-          static_cast<double>(sh.m * sh.k * sh.n) / s / 1e9, 2));
+      return FormatDouble(static_cast<double>(sh.m * sh.k * sh.n) / s / 1e9,
+                          2);
+    };
+    for (nn::GemmIsa isa : isas) {
+      row.push_back(nn::GemmIsaSupported(isa) ? gmacs(isa, nullptr) : "-");
     }
+    row.push_back(gmacs(nn::DispatchedGemmIsa(), two.pool()));
     gemms.AddRow(row);
   }
   report.Table("Q-network GEMM shapes (TPC-CH, batch 32)", gemms);

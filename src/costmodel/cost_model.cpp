@@ -8,6 +8,7 @@
 
 #include "costmodel/weighted_cost.h"
 #include "telemetry/registry.h"
+#include "telemetry/trace.h"
 #include "util/logging.h"
 
 namespace lpa::costmodel {
@@ -18,6 +19,7 @@ namespace {
 /// the inner enumeration loops stay atomic-free.
 struct CostModelMetrics {
   telemetry::Counter& plans;
+  telemetry::Counter& plan_ns;  ///< summed wall-clock of PlanQuery
   telemetry::Counter& dp_subsets;
   telemetry::Counter& dp_splits;
   telemetry::Counter& pareto_entries;
@@ -26,6 +28,7 @@ struct CostModelMetrics {
     auto& reg = telemetry::MetricsRegistry::Global();
     static CostModelMetrics* m = new CostModelMetrics{
         reg.GetCounter("costmodel.plans.count"),
+        reg.GetCounter("costmodel.plan_ns.count"),
         reg.GetCounter("costmodel.dp_subsets.count"),
         reg.GetCounter("costmodel.dp_splits.count"),
         reg.GetCounter("costmodel.pareto_entries.count")};
@@ -550,7 +553,9 @@ double CostModel::QueryCost(const workload::QuerySpec& query,
 
 QueryPlan CostModel::PlanQuery(const workload::QuerySpec& query,
                                const partition::PartitioningState& state) const {
-  CostModelMetrics::Get().plans.Add();
+  auto& metrics = CostModelMetrics::Get();
+  metrics.plans.Add();
+  telemetry::NanosTimer timer(&metrics.plan_ns);
   if (query.num_tables() == 1) {
     QueryPlan plan;
     plan.root = std::make_unique<PlanNode>();

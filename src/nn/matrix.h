@@ -39,6 +39,15 @@ class Matrix {
 
   void Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
+  /// \brief Reshape to rows x cols, keeping the allocation when it is large
+  /// enough. The elements are unspecified afterwards: for buffers that the
+  /// next writer overwrites in full (GEMM outputs, gradients).
+  void Resize(size_t rows, size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   /// \brief Construct a 1 x n matrix from a vector (one input row).
   static Matrix FromRow(const std::vector<double>& v) {
     Matrix m(1, v.size());
@@ -57,12 +66,13 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// All three GEMMs run one register-blocked fp64 kernel (AVX2 when the CPU
-/// has it, else the scalar reference loop) and optionally on a thread pool.
-/// Every C element is accumulated from +0.0 in ascending p order, with a
-/// separate multiply and add (no FMA), so every kernel, blocking and thread
-/// count gives bit-identical results for finite inputs. Work is partitioned
-/// over rows of C only; small products run inline regardless of the pool.
+/// All three GEMMs run one register-blocked fp64 kernel, widest vector path
+/// first (AVX-512, then AVX2, else the scalar reference loop), optionally on
+/// a thread pool. Every C element is accumulated from +0.0 in ascending p
+/// order, with a separate multiply and add (no FMA, no contraction), so every
+/// path, blocking and thread count gives bit-identical results for finite
+/// inputs. Work is partitioned over rows of C only; small products run
+/// inline regardless of the pool.
 
 /// \brief C = A * B (A: m x k, B: k x n). C must be pre-sized m x n.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c,
@@ -76,12 +86,34 @@ void GemmTransA(const Matrix& a, const Matrix& b, Matrix* c,
 void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c,
                 ThreadPool* pool = nullptr);
 
-/// \brief Serial scalar C = A * B: the plain row-by-row loop the kernel
-/// reproduces bit for bit, and the fallback on CPUs without AVX2.
+/// \brief Serial scalar C = A * B: the plain row-by-row loop every path
+/// reproduces bit for bit.
 void GemmReference(const Matrix& a, const Matrix& b, Matrix* c);
 
-/// \brief True when this process runs the AVX2 builds of the kernels
-/// (selected once by CPUID).
+/// \brief Vector widths of the GEMM kernel: 1, 4 and 8 doubles.
+enum class GemmIsa { kScalar, kAvx2, kAvx512 };
+
+/// \brief Which operand of a GEMM is transposed.
+enum class GemmOp { kPlain, kTransA, kTransB };
+
+/// \brief "scalar", "avx2" or "avx512".
+const char* GemmIsaName(GemmIsa isa);
+
+/// \brief True when this CPU can run `isa` (CPUID, checked once).
+bool GemmIsaSupported(GemmIsa isa);
+
+/// \brief The widest supported path: the one Gemm, GemmTransA and
+/// GemmTransB run.
+GemmIsa DispatchedGemmIsa();
+
+/// \brief Test and benchmark entry point: the GEMM `op` on the path `isa`,
+/// which must be supported. The three GEMMs above are this call with
+/// DispatchedGemmIsa().
+void GemmOnIsa(GemmIsa isa, GemmOp op, const Matrix& a, const Matrix& b,
+               Matrix* c, ThreadPool* pool = nullptr);
+
+/// \brief True when this process runs the AVX2 builds of the elementwise
+/// and quantized kernels (selected once by CPUID).
 bool HaveAvx2();
 
 /// \brief Constants of one Adam step (bias1/bias2 are 1 - beta^t).

@@ -28,48 +28,53 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
     layer.vb = Matrix(1, out);
     layers_.push_back(std::move(layer));
   }
+  train_.hidden.resize(layers_.size() - 1);
+  train_.dw.resize(layers_.size());
+  train_.db.resize(layers_.size());
 }
 
-Matrix Mlp::ForwardTape(const Matrix& x, Tape* tape, ThreadPool* pool) const {
-  LPA_CHECK(static_cast<int>(x.cols()) == config_.input_dim);
-  if (tape != nullptr) {
-    tape->input = &x;
-    tape->hidden.clear();
-    tape->hidden.reserve(layers_.size() - 1);
-  }
-  const Matrix* in = &x;
-  Matrix a;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    const Layer& layer = layers_[l];
-    Matrix z(in->rows(), layer.w.cols());
-    Gemm(*in, layer.w, &z, pool);
-    const double* bias = layer.b.row(0);
-    const bool relu = l + 1 < layers_.size();  // linear output layer
-    for (size_t r = 0; r < z.rows(); ++r) {
-      double* zr = z.row(r);
-      for (size_t c = 0; c < z.cols(); ++c) {
-        const double v = zr[c] + bias[c];
-        zr[c] = relu && !(v > 0.0) ? 0.0 : v;
-      }
-    }
-    if (relu && tape != nullptr) {
-      tape->hidden.push_back(std::move(z));
-      in = &tape->hidden.back();
-    } else {
-      a = std::move(z);
-      in = &a;
+void Mlp::Affine(size_t l, const Matrix& in, Matrix* out,
+                 ThreadPool* pool) const {
+  const Layer& layer = layers_[l];
+  out->Resize(in.rows(), layer.w.cols());
+  Gemm(in, layer.w, out, pool);
+  const double* bias = layer.b.row(0);
+  const bool relu = l + 1 < layers_.size();  // linear output layer
+  for (size_t r = 0; r < out->rows(); ++r) {
+    double* zr = out->row(r);
+    for (size_t c = 0; c < out->cols(); ++c) {
+      const double v = zr[c] + bias[c];
+      zr[c] = relu && !(v > 0.0) ? 0.0 : v;
     }
   }
-  return a;
 }
 
 Matrix Mlp::Forward(const Matrix& x, ThreadPool* pool) const {
-  return ForwardTape(x, nullptr, pool);
+  LPA_CHECK(static_cast<int>(x.cols()) == config_.input_dim);
+  Matrix a;
+  const Matrix* in = &x;
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    Matrix z;
+    Affine(l, *in, &z, pool);
+    a = std::move(z);
+    in = &a;
+  }
+  return a;
 }
 
 std::vector<double> Mlp::Forward(const std::vector<double>& x) const {
   Matrix out = Forward(Matrix::FromRow(x));
   return out.data();
+}
+
+const Matrix& Mlp::ForwardHidden(const Matrix& x, ThreadPool* pool) {
+  LPA_CHECK(static_cast<int>(x.cols()) == config_.input_dim);
+  const Matrix* in = &x;
+  for (size_t l = 0; l + 1 < layers_.size(); ++l) {
+    Affine(l, *in, &train_.hidden[l], pool);
+    in = &train_.hidden[l];
+  }
+  return *in;
 }
 
 namespace {
@@ -103,34 +108,41 @@ void Mlp::AdamStep(Matrix* param, Matrix* m, Matrix* v, const Matrix& grad,
   }
 }
 
-void Mlp::Backward(const Tape& tape, Matrix delta, double lr,
-                   ThreadPool* pool) {
-  ++adam_t_;
-  // `delta` is the gradient w.r.t. the current layer's output.
-  for (size_t l = layers_.size(); l-- > 0;) {
-    Layer& layer = layers_[l];
-    const Matrix& input = l == 0 ? *tape.input : tape.hidden[l - 1];
+void Mlp::Backward(const Matrix& x, size_t top, ThreadPool* pool) {
+  Matrix& delta = train_.delta;
+  for (size_t l = top + 1; l-- > 0;) {
+    const Layer& layer = layers_[l];
+    const Matrix& input = l == 0 ? x : train_.hidden[l - 1];
     // ReLU derivative for hidden layers (output layer is linear).
     if (l + 1 < layers_.size()) {
-      const Matrix& out = tape.hidden[l];
+      const Matrix& out = train_.hidden[l];
       for (size_t i = 0; i < delta.size(); ++i) {
         if (out.data()[i] <= 0.0) delta.data()[i] = 0.0;
       }
     }
-    Matrix dw(layer.w.rows(), layer.w.cols());
+    Matrix& dw = train_.dw[l];
+    dw.Resize(layer.w.rows(), layer.w.cols());
     GemmTransA(input, delta, &dw, pool);
-    Matrix db(1, layer.b.cols());
+    Matrix& db = train_.db[l];
+    db.Resize(1, layer.b.cols());
+    db.Fill(0.0);
     for (size_t r = 0; r < delta.rows(); ++r) {
       for (size_t c = 0; c < delta.cols(); ++c) db.at(0, c) += delta.at(r, c);
     }
-    Matrix dprev;
     if (l > 0) {
-      dprev = Matrix(delta.rows(), layer.w.rows());
-      GemmTransB(delta, layer.w, &dprev, pool);
+      train_.dprev.Resize(delta.rows(), layer.w.rows());
+      GemmTransB(delta, layer.w, &train_.dprev, pool);
+      std::swap(delta, train_.dprev);
     }
-    AdamStep(&layer.w, &layer.mw, &layer.vw, dw, lr, pool);
-    AdamStep(&layer.b, &layer.mb, &layer.vb, db, lr, pool);
-    delta = std::move(dprev);
+  }
+}
+
+void Mlp::ApplyGradients(double lr, ThreadPool* pool) {
+  ++adam_t_;
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    Layer& layer = layers_[l];
+    AdamStep(&layer.w, &layer.mw, &layer.vw, train_.dw[l], lr, pool);
+    AdamStep(&layer.b, &layer.mb, &layer.vb, train_.db[l], lr, pool);
   }
 }
 
@@ -138,29 +150,57 @@ double Mlp::TrainMaskedMse(const Matrix& x, const std::vector<int>& head,
                            const std::vector<double>& target, double lr,
                            ThreadPool* pool) {
   LPA_CHECK(x.rows() == head.size() && x.rows() == target.size());
-  Tape tape;
-  Matrix pred = ForwardTape(x, &tape, pool);
-  Matrix dloss(pred.rows(), pred.cols());
+  const Matrix& in = ForwardHidden(x, pool);
+  const size_t last = layers_.size() - 1;
+  const Layer& out = layers_[last];
+  const size_t batch = in.rows(), width = in.cols(), heads = out.w.cols();
+  Matrix& dw = train_.dw[last];
+  Matrix& db = train_.db[last];
+  dw.Resize(width, heads);
+  dw.Fill(0.0);
+  db.Resize(1, heads);
+  db.Fill(0.0);
+  train_.delta.Resize(batch, width);
+  // Only row i's head h carries loss gradient, so the output layer needs
+  // Q(s_i, h) alone, and its dW, db and dprev only touch column h. Each
+  // element keeps the dense GEMM's summation: from +0.0 over ascending p for
+  // the prediction, over ascending rows for dW[p][h] and db[h]. The terms
+  // the dense products add for other heads are +-0 and change nothing (see
+  // nn/matrix.cpp), and a head no row hits keeps gradient +0.0.
   double loss = 0.0;
-  double inv_batch = 1.0 / static_cast<double>(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    int h = head[r];
-    LPA_CHECK(h >= 0 && h < static_cast<int>(pred.cols()));
-    double err = pred.at(r, static_cast<size_t>(h)) - target[r];
+  const double inv_batch = 1.0 / static_cast<double>(batch);
+  for (size_t r = 0; r < batch; ++r) {
+    LPA_CHECK(head[r] >= 0 && head[r] < static_cast<int>(heads));
+    const size_t h = static_cast<size_t>(head[r]);
+    const double* a = in.row(r);
+    double q = 0.0;
+    for (size_t p = 0; p < width; ++p) q += a[p] * out.w.at(p, h);
+    const double err = q + out.b.at(0, h) - target[r];
     loss += err * err * inv_batch;
-    dloss.at(r, static_cast<size_t>(h)) = 2.0 * err * inv_batch;
+    const double g = 2.0 * err * inv_batch;
+    db.at(0, h) += g;
+    double* dprev = train_.delta.row(r);
+    for (size_t p = 0; p < width; ++p) {
+      dw.at(p, h) += a[p] * g;
+      double d = 0.0;
+      d += g * out.w.at(p, h);
+      dprev[p] = d;
+    }
   }
-  Backward(tape, std::move(dloss), lr, pool);
+  if (last > 0) Backward(x, last - 1, pool);
+  ApplyGradients(lr, pool);
   return loss;
 }
 
 double Mlp::TrainMse(const Matrix& x, const Matrix& target, double lr,
                      ThreadPool* pool) {
   LPA_CHECK(x.rows() == target.rows());
-  Tape tape;
-  Matrix pred = ForwardTape(x, &tape, pool);
+  const size_t last = layers_.size() - 1;
+  Affine(last, ForwardHidden(x, pool), &train_.out, pool);
+  const Matrix& pred = train_.out;
   LPA_CHECK(pred.cols() == target.cols());
-  Matrix dloss(pred.rows(), pred.cols());
+  Matrix& dloss = train_.delta;
+  dloss.Resize(pred.rows(), pred.cols());
   double loss = 0.0;
   double inv = 1.0 / static_cast<double>(pred.size());
   for (size_t i = 0; i < pred.data().size(); ++i) {
@@ -168,14 +208,25 @@ double Mlp::TrainMse(const Matrix& x, const Matrix& target, double lr,
     loss += err * err * inv;
     dloss.data()[i] = 2.0 * err * inv;
   }
-  Backward(tape, std::move(dloss), lr, pool);
+  Backward(x, last, pool);
+  ApplyGradients(lr, pool);
   return loss;
 }
 
-void Mlp::SoftUpdateFrom(const Mlp& src, double tau, ThreadPool* pool) {
-  LPA_CHECK(layers_.size() == src.layers_.size());
+bool Mlp::SameArchitecture(const Mlp& other) const {
+  if (layers_.size() != other.layers_.size()) return false;
   for (size_t l = 0; l < layers_.size(); ++l) {
-    LPA_CHECK(layers_[l].w.size() == src.layers_[l].w.size());
+    if (layers_[l].w.rows() != other.layers_[l].w.rows() ||
+        layers_[l].w.cols() != other.layers_[l].w.cols()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void Mlp::SoftUpdateFrom(const Mlp& src, double tau, ThreadPool* pool) {
+  LPA_CHECK(SameArchitecture(src));
+  for (size_t l = 0; l < layers_.size(); ++l) {
     double* w = layers_[l].w.data().data();
     const double* sw = src.layers_[l].w.data().data();
     auto blend = [tau, w, sw](size_t b, size_t e) {
@@ -254,13 +305,34 @@ Result<Mlp> Mlp::Load(std::istream& is) {
   std::string magic;
   is >> magic;
   if (magic != "mlp") return Status::InvalidArgument("not an mlp stream");
+  // Read as signed, so that a negative width is rejected instead of wrapped.
+  int64_t input = 0, num_hidden = 0, output = 0;
+  is >> input >> num_hidden;
+  if (!is.good() || num_hidden < 0 ||
+      num_hidden > static_cast<int64_t>(kMaxLoadHidden)) {
+    return Status::InvalidArgument("bad mlp header");
+  }
+  std::vector<int64_t> hidden(static_cast<size_t>(num_hidden));
+  for (auto& h : hidden) is >> h;
   MlpConfig config;
-  size_t num_hidden = 0;
-  is >> config.input_dim >> num_hidden;
-  config.hidden.resize(num_hidden);
-  for (auto& h : config.hidden) is >> h;
-  is >> config.output_dim >> config.seed;
+  is >> output >> config.seed;
   if (!is.good()) return Status::InvalidArgument("truncated mlp header");
+  std::vector<int64_t> dims = {input};
+  dims.insert(dims.end(), hidden.begin(), hidden.end());
+  dims.push_back(output);
+  size_t parameters = 0;
+  for (size_t l = 0; l < dims.size(); ++l) {
+    if (dims[l] < 1 || dims[l] > kMaxLoadWidth) {
+      return Status::InvalidArgument("mlp layer width out of range");
+    }
+    if (l > 0) parameters += static_cast<size_t>((dims[l - 1] + 1) * dims[l]);
+  }
+  if (parameters > kMaxLoadParameters) {
+    return Status::InvalidArgument("mlp has too many parameters");
+  }
+  config.input_dim = static_cast<int>(input);
+  config.hidden.assign(hidden.begin(), hidden.end());
+  config.output_dim = static_cast<int>(output);
   Mlp mlp(config);
   for (auto& layer : mlp.layers_) {
     for (double& v : layer.w.data()) is >> v;

@@ -50,7 +50,9 @@ class Mlp {
 
   /// \brief One Adam step on masked squared error: for each row i only the
   /// output unit `head[i]` receives gradient `2*(pred - target[i])/batch`.
-  /// Returns the minibatch loss before the step.
+  /// Returns the minibatch loss before the step. The output layer computes
+  /// and differentiates only the heads that were hit; every result is
+  /// bit-identical to the dense computation.
   double TrainMaskedMse(const Matrix& x, const std::vector<int>& head,
                         const std::vector<double>& target, double lr,
                         ThreadPool* pool = nullptr);
@@ -63,6 +65,9 @@ class Mlp {
   /// Both networks must share the architecture. (Table 1's target update.)
   void SoftUpdateFrom(const Mlp& src, double tau, ThreadPool* pool = nullptr);
 
+  /// \brief True when both networks have the same layer shapes.
+  bool SameArchitecture(const Mlp& other) const;
+
   /// \brief Copy all weights from `src` (same architecture required).
   void CopyFrom(const Mlp& src);
 
@@ -74,7 +79,13 @@ class Mlp {
 
   /// \brief Serialize architecture + weights.
   Status Save(std::ostream& os) const;
+  /// \brief Inverse of Save. A malformed or truncated stream, a layer width
+  /// outside [1, kMaxLoadWidth], more than kMaxLoadHidden hidden layers or
+  /// more than kMaxLoadParameters weights give InvalidArgument.
   static Result<Mlp> Load(std::istream& is);
+  static constexpr int kMaxLoadWidth = 1 << 16;
+  static constexpr size_t kMaxLoadHidden = 64;
+  static constexpr size_t kMaxLoadParameters = size_t{1} << 24;
 
   /// \brief Total parameter count (for tests / reporting).
   size_t num_parameters() const;
@@ -95,21 +106,35 @@ class Mlp {
     Matrix mw, vw, mb, vb;
   };
 
-  /// Activations of a forward pass kept for backprop: the caller's input
-  /// (borrowed) and each hidden layer's ReLU output.
-  struct Tape {
-    const Matrix* input = nullptr;
-    std::vector<Matrix> hidden;
+  /// Buffers of one training step, kept across steps so that a warm step
+  /// allocates nothing: each hidden layer's ReLU output (the tape), the dense
+  /// output and per-layer gradients, and the back-propagated delta. Only the
+  /// mutating Train* calls touch them; the const Forward allocates its own.
+  struct TrainBuffers {
+    std::vector<Matrix> hidden;  // [batch x out_l] for every layer but the last
+    Matrix out;                  // [batch x output_dim] (TrainMse)
+    std::vector<Matrix> dw, db;  // gradients, shaped like each layer's w and b
+    Matrix delta, dprev;         // gradient w.r.t. a layer's output / input
   };
 
-  Matrix ForwardTape(const Matrix& x, Tape* tape, ThreadPool* pool) const;
-  void Backward(const Tape& tape, Matrix dloss, double lr, ThreadPool* pool);
+  /// layer l applied to `in`: out = in * w + b, then ReLU unless l is the
+  /// output layer. `out` is reshaped and overwritten.
+  void Affine(size_t l, const Matrix& in, Matrix* out, ThreadPool* pool) const;
+  /// Run the hidden layers on x into train_.hidden; returns the output
+  /// layer's input.
+  const Matrix& ForwardHidden(const Matrix& x, ThreadPool* pool);
+  /// Back-propagate train_.delta, the loss gradient w.r.t. the output of
+  /// layer `top`, down through layers top..0 into train_.dw / train_.db.
+  void Backward(const Matrix& x, size_t top, ThreadPool* pool);
+  /// One Adam step of every layer from train_.dw / train_.db.
+  void ApplyGradients(double lr, ThreadPool* pool);
   void AdamStep(Matrix* param, Matrix* m, Matrix* v, const Matrix& grad,
                 double lr, ThreadPool* pool);
 
   MlpConfig config_;
   std::vector<Layer> layers_;
   int64_t adam_t_ = 0;
+  TrainBuffers train_;
 };
 
 }  // namespace lpa::nn

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "telemetry/registry.h"
+#include "telemetry/trace.h"
 #include "util/logging.h"
 
 namespace lpa::rl {
@@ -11,6 +12,7 @@ namespace {
 
 struct DqnMetrics {
   telemetry::Counter& train_steps;
+  telemetry::Counter& train_step_ns;  ///< summed wall-clock of TrainStep
   telemetry::Gauge& loss;
   telemetry::Gauge& replay_size;
 
@@ -18,6 +20,7 @@ struct DqnMetrics {
     auto& reg = telemetry::MetricsRegistry::Global();
     static DqnMetrics* m = new DqnMetrics{
         reg.GetCounter("rl.train_steps.count"),
+        reg.GetCounter("rl.train_step_ns.count"),
         reg.GetGauge("rl.loss.value"),
         reg.GetGauge("rl.replay_size.count")};
     return *m;
@@ -142,6 +145,8 @@ void DqnAgent::Observe(Transition t) { replay_.Add(std::move(t)); }
 
 double DqnAgent::TrainStep(Rng* rng, ThreadPool* pool) {
   if (replay_.size() < static_cast<size_t>(config_.batch_size)) return 0.0;
+  auto& dm = DqnMetrics::Get();
+  telemetry::NanosTimer timer(&dm.train_step_ns);
   auto batch = replay_.Sample(static_cast<size_t>(config_.batch_size), rng);
 
   // Compute TD targets r + gamma * max_a' Q_target(s', a') — one stacked
@@ -207,7 +212,6 @@ double DqnAgent::TrainStep(Rng* rng, ThreadPool* pool) {
     loss = q_->TrainMse(x, y, config_.learning_rate, pool);
   }
   target_->SoftUpdateFrom(*q_, config_.tau, pool);
-  auto& dm = DqnMetrics::Get();
   dm.train_steps.Add();
   dm.loss.Set(loss);
   dm.replay_size.Set(static_cast<double>(replay_.size()));
@@ -244,6 +248,11 @@ Status DqnAgent::LoadAfterMagic(std::istream& is) {
       q->output_dim() != q_->output_dim()) {
     return Status::FailedPrecondition(
         "snapshot shape does not match this agent's featurizer/action space");
+  }
+  // TrainStep blends the target toward the Q-network weight by weight.
+  if (!target->SameArchitecture(*q)) {
+    return Status::InvalidArgument(
+        "snapshot target network shape differs from its Q-network");
   }
   epsilon_ = epsilon;
   *q_ = std::move(*q);

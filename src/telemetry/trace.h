@@ -59,4 +59,25 @@ class ScopedTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// \brief RAII timer that adds its elapsed wall-clock nanoseconds to a
+/// Counter's integer value: a summed-time counter such as
+/// "rl.train_step_ns.count", whose total divides by the matching event count.
+class NanosTimer {
+ public:
+  explicit NanosTimer(Counter* counter)
+      : counter_(counter), start_(std::chrono::steady_clock::now()) {}
+  ~NanosTimer() {
+    counter_->Add(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count()));
+  }
+  NanosTimer(const NanosTimer&) = delete;
+  NanosTimer& operator=(const NanosTimer&) = delete;
+
+ private:
+  Counter* counter_;
+  std::chrono::steady_clock::time_point start_;
+};
+
 }  // namespace lpa::telemetry

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <string>
 
 #include "nn/matrix.h"
 #include "partition/actions.h"
@@ -211,6 +212,34 @@ TEST(MlpTest, LoadRejectsGarbage) {
   EXPECT_FALSE(Mlp::Load(ss).ok());
 }
 
+TEST(MlpTest, LoadRejectsBadDimensionsWithStatus) {
+  // Each header must come back as InvalidArgument, never abort or throw:
+  // zero and negative widths, a negative or huge hidden-layer count, a width
+  // above the limit and a network above the parameter limit.
+  for (const char* header :
+       {"mlp 0 1 4 3 42 ", "mlp 4 1 -3 3 42 ", "mlp 4 1 4 0 42 ",
+        "mlp 4 -1 3 42 ", "mlp 4 18446744073709551613 3 42 ",
+        "mlp 4 100 1 1 1 ", "mlp 4 1 70000 3 42 ", "mlp 65536 1 65536 3 42 ",
+        "mlp -5 0 3 42 "}) {
+    std::stringstream ss(header);
+    auto loaded = Mlp::Load(ss);
+    ASSERT_FALSE(loaded.ok()) << header;
+    EXPECT_EQ(loaded.status().code(), Status::Code::kInvalidArgument)
+        << header;
+  }
+  // A valid header passes the checks and then fails on its missing weights;
+  // a complete stream loads.
+  std::stringstream ok("mlp 2 1 3 1 7 ");
+  EXPECT_EQ(Mlp::Load(ok).status().code(), Status::Code::kInvalidArgument);
+  MlpConfig config;
+  config.input_dim = 2;
+  config.hidden = {3};
+  config.output_dim = 1;
+  std::stringstream round;
+  ASSERT_TRUE(Mlp(config).Save(round).ok());
+  EXPECT_TRUE(Mlp::Load(round).ok());
+}
+
 TEST(RngTest, Determinism) {
   Rng a(99), b(99);
   for (int i = 0; i < 100; ++i) {
@@ -289,47 +318,77 @@ Matrix RandomMatrix(size_t rows, size_t cols, Sparsity sparsity, Rng* rng) {
   return m;
 }
 
+/// Every kernel path this CPU can run, narrowest first.
+std::vector<GemmIsa> SupportedIsas() {
+  std::vector<GemmIsa> isas;
+  for (GemmIsa isa : {GemmIsa::kScalar, GemmIsa::kAvx2, GemmIsa::kAvx512}) {
+    if (GemmIsaSupported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+TEST(GemmKernelTest, DispatchPicksTheWidestSupportedPath) {
+  const std::vector<GemmIsa> isas = SupportedIsas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(isas.front(), GemmIsa::kScalar);
+  EXPECT_EQ(DispatchedGemmIsa(), isas.back());
+}
+
 TEST(GemmKernelTest, BitIdenticalToScalarReferenceOnRandomShapes) {
-  Rng rng(2027);
+  // Shapes include the Table 1 network's, m % 4 != 0, n % 16 != 0 (n = 70
+  // leaves a masked tail at both vector widths) and k = 1.
+  Rng shape_rng(2027);
   std::vector<std::array<size_t, 3>> shapes = {
       {32, 76, 128}, {32, 128, 64}, {32, 64, 70}, {1, 1, 1},   {3, 1, 9},
       {5, 7, 3},     {7, 13, 17},   {4, 8, 8},    {9, 1, 15},  {2, 33, 6},
       {67, 200, 130}, {130, 45, 66}, {150, 90, 101}};
   for (int i = 0; i < 12; ++i) {
-    shapes.push_back({static_cast<size_t>(rng.UniformInt(1, 70)),
-                      static_cast<size_t>(rng.UniformInt(1, 90)),
-                      static_cast<size_t>(rng.UniformInt(1, 140))});
+    shapes.push_back({static_cast<size_t>(shape_rng.UniformInt(1, 70)),
+                      static_cast<size_t>(shape_rng.UniformInt(1, 90)),
+                      static_cast<size_t>(shape_rng.UniformInt(1, 140))});
   }
-  for (int threads : {1, 2, 4}) {
-    EvalContext ctx(threads, /*seed=*/1);
-    for (const auto& [m, k, n] : shapes) {
-      for (Sparsity sp : {Sparsity::kDense, Sparsity::kRelu,
-                          Sparsity::kZeroRows, Sparsity::kOneHot}) {
-        const Matrix a = RandomMatrix(m, k, sp, &rng);
-        const Matrix b = RandomMatrix(k, n, Sparsity::kDense, &rng);
-        Matrix want(m, n), got(m, n, 7.0);
-        GemmReference(a, b, &want);
-        Gemm(a, b, &got, ctx.pool());
-        EXPECT_TRUE(BitEqual(got, want)) << "Gemm " << m << "x" << k << "x" << n;
+  for (GemmIsa isa : SupportedIsas()) {
+    Rng rng(2028);
+    for (int threads : {1, 2, 4}) {
+      EvalContext ctx(threads, /*seed=*/1);
+      for (const auto& [m, k, n] : shapes) {
+        for (Sparsity sp : {Sparsity::kDense, Sparsity::kRelu,
+                            Sparsity::kZeroRows, Sparsity::kOneHot}) {
+          const Matrix a = RandomMatrix(m, k, sp, &rng);
+          const Matrix b = RandomMatrix(k, n, Sparsity::kDense, &rng);
+          const std::string what = std::string(GemmIsaName(isa)) + " " +
+                                   std::to_string(m) + "x" + std::to_string(k) +
+                                   "x" + std::to_string(n);
+          Matrix want(m, n), got(m, n, 7.0);
+          GemmReference(a, b, &want);
+          GemmOnIsa(isa, GemmOp::kPlain, a, b, &got, ctx.pool());
+          EXPECT_TRUE(BitEqual(got, want)) << "Gemm " << what;
 
-        // A^T * B with A stored k x m.
-        const Matrix at = Transposed(a);
-        Matrix got_ta(m, n, 7.0);
-        GemmTransA(at, b, &got_ta, ctx.pool());
-        EXPECT_TRUE(BitEqual(got_ta, want))
-            << "GemmTransA " << m << "x" << k << "x" << n;
+          // A^T * B with A stored k x m: the kernel reads it strided.
+          const Matrix at = Transposed(a);
+          Matrix got_ta(m, n, 7.0);
+          GemmOnIsa(isa, GemmOp::kTransA, at, b, &got_ta, ctx.pool());
+          EXPECT_TRUE(BitEqual(got_ta, want)) << "GemmTransA " << what;
 
-        // A * B^T with B stored n x k; also equal to the dot-product chain.
-        const Matrix bt = Transposed(b);
-        Matrix got_tb(m, n, 7.0);
-        GemmTransB(a, bt, &got_tb, ctx.pool());
-        EXPECT_TRUE(BitEqual(got_tb, want))
-            << "GemmTransB " << m << "x" << k << "x" << n;
-        EXPECT_TRUE(BitEqual(got_tb, DotProductTransB(a, bt)))
-            << "GemmTransB dot chain " << m << "x" << k << "x" << n;
+          // A * B^T with B stored n x k; also equal to the dot-product chain.
+          const Matrix bt = Transposed(b);
+          Matrix got_tb(m, n, 7.0);
+          GemmOnIsa(isa, GemmOp::kTransB, a, bt, &got_tb, ctx.pool());
+          EXPECT_TRUE(BitEqual(got_tb, want)) << "GemmTransB " << what;
+          EXPECT_TRUE(BitEqual(got_tb, DotProductTransB(a, bt)))
+              << "GemmTransB dot chain " << what;
+        }
       }
     }
   }
+  // The public entry points run the dispatched path.
+  Rng rng(5);
+  const Matrix a = RandomMatrix(32, 64, Sparsity::kRelu, &rng);
+  const Matrix b = RandomMatrix(64, 70, Sparsity::kDense, &rng);
+  Matrix want(32, 70), got(32, 70);
+  GemmReference(a, b, &want);
+  Gemm(a, b, &got);
+  EXPECT_TRUE(BitEqual(got, want));
 }
 
 TEST(GemmKernelTest, ZeroSkipNeverProducesNegativeZero) {
@@ -338,14 +397,147 @@ TEST(GemmKernelTest, ZeroSkipNeverProducesNegativeZero) {
   Matrix a = Matrix::FromRows({{0.0, -0.0, 0.0}, {1.0, 0.0, -0.0},
                                {-0.0, 0.0, 0.0}, {0.0, 2.0, 0.0},
                                {0.0, 0.0, 0.0}});
-  Matrix b(3, 11, -1.5);
-  Matrix want(5, 11), got(5, 11);
+  Matrix b(3, 19, -1.5);
+  Matrix want(5, 19);
   GemmReference(a, b, &want);
-  Gemm(a, b, &got);
-  EXPECT_TRUE(BitEqual(got, want));
-  for (size_t j = 0; j < 11; ++j) {
-    EXPECT_FALSE(std::signbit(got.at(0, j)));
-    EXPECT_FALSE(std::signbit(got.at(4, j)));
+  for (GemmIsa isa : SupportedIsas()) {
+    Matrix got(5, 19);
+    GemmOnIsa(isa, GemmOp::kPlain, a, b, &got);
+    EXPECT_TRUE(BitEqual(got, want)) << GemmIsaName(isa);
+    for (size_t j = 0; j < 19; ++j) {
+      EXPECT_FALSE(std::signbit(got.at(0, j))) << GemmIsaName(isa);
+      EXPECT_FALSE(std::signbit(got.at(4, j))) << GemmIsaName(isa);
+    }
+  }
+}
+
+// --- Masked last layer -------------------------------------------------------
+
+/// The dense masked-MSE Adam step that Mlp::TrainMaskedMse replaced: the
+/// full output layer forward, a [batch x heads] loss gradient that is zero
+/// off the hit heads, and dense GEMMs for every gradient. Holds its own copy
+/// of the weights and Adam moments.
+class DenseMaskedReference {
+ public:
+  explicit DenseMaskedReference(const Mlp& net) : config_(net.config()) {
+    for (size_t l = 0; l < net.num_layers(); ++l) {
+      const Matrix& w = net.layer_weights(l);
+      const Matrix& b = net.layer_bias(l);
+      w_.push_back(w);
+      b_.push_back(b);
+      mw_.emplace_back(w.rows(), w.cols());
+      vw_.emplace_back(w.rows(), w.cols());
+      mb_.emplace_back(b.rows(), b.cols());
+      vb_.emplace_back(b.rows(), b.cols());
+    }
+  }
+
+  double Step(const Matrix& x, const std::vector<int>& head,
+              const std::vector<double>& target, double lr) {
+    const size_t layers = w_.size();
+    std::vector<Matrix> acts = {x};
+    for (size_t l = 0; l < layers; ++l) {
+      Matrix z(acts.back().rows(), w_[l].cols());
+      Gemm(acts.back(), w_[l], &z);
+      for (size_t r = 0; r < z.rows(); ++r) {
+        for (size_t c = 0; c < z.cols(); ++c) {
+          const double v = z.at(r, c) + b_[l].at(0, c);
+          z.at(r, c) = l + 1 < layers && !(v > 0.0) ? 0.0 : v;
+        }
+      }
+      acts.push_back(std::move(z));
+    }
+    const Matrix& pred = acts.back();
+    Matrix delta(pred.rows(), pred.cols());
+    double loss = 0.0;
+    const double inv_batch = 1.0 / static_cast<double>(x.rows());
+    for (size_t r = 0; r < x.rows(); ++r) {
+      const size_t h = static_cast<size_t>(head[r]);
+      const double err = pred.at(r, h) - target[r];
+      loss += err * err * inv_batch;
+      delta.at(r, h) = 2.0 * err * inv_batch;
+    }
+    ++t_;
+    for (size_t l = layers; l-- > 0;) {
+      if (l + 1 < layers) {
+        for (size_t i = 0; i < delta.size(); ++i) {
+          if (acts[l + 1].data()[i] <= 0.0) delta.data()[i] = 0.0;
+        }
+      }
+      Matrix dw(w_[l].rows(), w_[l].cols());
+      GemmTransA(acts[l], delta, &dw);
+      Matrix db(1, b_[l].cols());
+      for (size_t r = 0; r < delta.rows(); ++r) {
+        for (size_t c = 0; c < delta.cols(); ++c) db.at(0, c) += delta.at(r, c);
+      }
+      Matrix dprev(delta.rows(), w_[l].rows());
+      if (l > 0) GemmTransB(delta, w_[l], &dprev);
+      const double t = static_cast<double>(t_);
+      const AdamCoeffs k{config_.beta1, config_.beta2, config_.epsilon,
+                         1.0 - std::pow(config_.beta1, t),
+                         1.0 - std::pow(config_.beta2, t), lr};
+      AdamUpdate(k, dw.data().data(), mw_[l].data().data(),
+                 vw_[l].data().data(), w_[l].data().data(), dw.size());
+      AdamUpdate(k, db.data().data(), mb_[l].data().data(),
+                 vb_[l].data().data(), b_[l].data().data(), db.size());
+      delta = std::move(dprev);
+    }
+    return loss;
+  }
+
+  bool SameWeights(const Mlp& net) const {
+    for (size_t l = 0; l < w_.size(); ++l) {
+      if (!BitEqual(net.layer_weights(l), w_[l]) ||
+          !BitEqual(net.layer_bias(l), b_[l])) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  MlpConfig config_;
+  std::vector<Matrix> w_, b_, mw_, vw_, mb_, vb_;
+  int64_t t_ = 0;
+};
+
+TEST(MaskedLastLayerTest, BitIdenticalToDenseStep) {
+  // 9 heads of which only 0, 3, 5 and 8 are ever hit (3 by several rows of
+  // one batch); some rows' targets equal the current prediction, so their
+  // error is exactly 0. One-hot-ish inputs give the first layer zero rows.
+  for (const std::vector<int>& hidden :
+       {std::vector<int>{128, 64}, std::vector<int>{7}, std::vector<int>{}}) {
+    MlpConfig config;
+    config.input_dim = 11;
+    config.hidden = hidden;
+    config.output_dim = 9;
+    config.seed = 19;
+    Mlp net(config);
+    DenseMaskedReference dense(net);
+    Rng rng(23);
+    const std::vector<int> hit = {0, 3, 3, 5, 3, 8};
+    for (int step = 0; step < 12; ++step) {
+      const size_t batch = step % 3 == 0 ? 32 : 5 + static_cast<size_t>(step);
+      const Matrix x = RandomMatrix(batch, 11,
+                                    step % 2 == 0 ? Sparsity::kOneHot
+                                                  : Sparsity::kRelu,
+                                    &rng);
+      const Matrix pred = net.Forward(x);
+      std::vector<int> head(batch);
+      std::vector<double> target(batch);
+      for (size_t r = 0; r < batch; ++r) {
+        head[r] = hit[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(hit.size()) - 1))];
+        target[r] = r % 4 == 1 ? pred.at(r, static_cast<size_t>(head[r]))
+                               : rng.Uniform(-2.0, 2.0);
+      }
+      const double want = dense.Step(x, head, target, 1e-2);
+      const double got = net.TrainMaskedMse(x, head, target, 1e-2);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << "step " << step;
+      ASSERT_TRUE(dense.SameWeights(net))
+          << "step " << step << ", " << hidden.size() << " hidden layers";
+    }
   }
 }
 

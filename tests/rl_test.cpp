@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 #include "rl/offline_env.h"
 #include "rl/online_env.h"
 #include "rl/replay.h"
 #include "schema/catalogs.h"
+#include "telemetry/registry.h"
 #include "workload/benchmarks.h"
 
 namespace lpa::rl {
@@ -253,6 +255,69 @@ TEST_F(SsbRlTest, ExtendStateInputsPreservesFunction) {
   for (size_t i = 0; i < q_before.size(); ++i) {
     EXPECT_NEAR(q_before[i], q_after[i], 1e-12);
   }
+}
+
+TEST_F(SsbRlTest, LoadRejectsTargetNetworkOfAnotherShape) {
+  DqnAgent agent(&featurizer_, &actions_, SmallConfig());
+  std::stringstream good;
+  ASSERT_TRUE(agent.Save(good).ok());
+  DqnAgent reloaded(&featurizer_, &actions_, SmallConfig());
+  ASSERT_TRUE(reloaded.Load(good).ok());
+
+  // Same Q-network, but a target with one 32-wide hidden layer: TrainStep's
+  // Polyak blend would abort on it, so the load must fail instead.
+  nn::MlpConfig narrow = agent.q_network().config();
+  narrow.hidden = {32};
+  std::stringstream bad;
+  bad << "dqn-agent 0.5\n";
+  ASSERT_TRUE(agent.q_network().Save(bad).ok());
+  ASSERT_TRUE(nn::Mlp(narrow).Save(bad).ok());
+  DqnAgent victim(&featurizer_, &actions_, SmallConfig());
+  const Status st = victim.Load(bad);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(victim.epsilon(), SmallConfig().epsilon_start);
+
+  // The agent is untouched and still trains.
+  auto s0 = PartitioningState::Initial(&schema_, &edges_);
+  auto enc = featurizer_.EncodeState(s0, std::vector<double>(13, 1.0));
+  auto legal = actions_.LegalActions(s0);
+  for (int i = 0; i < 40; ++i) {
+    victim.Observe({enc, legal[0], -1.0, enc, legal});
+  }
+  Rng rng(3);
+  EXPECT_GE(victim.TrainStep(&rng), 0.0);
+}
+
+TEST_F(SsbRlTest, LearnerAndPlannerTimeCountersAdvance) {
+  auto& reg = telemetry::MetricsRegistry::Global();
+  auto& step_ns = reg.GetCounter("rl.train_step_ns.count");
+  auto& steps = reg.GetCounter("rl.train_steps.count");
+  auto& plan_ns = reg.GetCounter("costmodel.plan_ns.count");
+  auto& plans = reg.GetCounter("costmodel.plans.count");
+  const uint64_t step_ns0 = step_ns.value(), steps0 = steps.value();
+  const uint64_t plan_ns0 = plan_ns.value(), plans0 = plans.value();
+
+  auto s0 = PartitioningState::Initial(&schema_, &edges_);
+  for (int q = 0; q < workload_.num_queries(); ++q) {
+    EXPECT_GT(model_.QueryCost(workload_.query(q), s0), 0.0);
+  }
+  EXPECT_EQ(plans.value() - plans0,
+            static_cast<uint64_t>(workload_.num_queries()));
+  EXPECT_GT(plan_ns.value(), plan_ns0);
+
+  DqnAgent agent(&featurizer_, &actions_, SmallConfig());
+  auto enc = featurizer_.EncodeState(s0, std::vector<double>(13, 1.0));
+  auto legal = actions_.LegalActions(s0);
+  Rng rng(3);
+  agent.TrainStep(&rng);  // buffer below one batch: no step, no time
+  EXPECT_EQ(steps.value(), steps0);
+  EXPECT_EQ(step_ns.value(), step_ns0);
+  for (int i = 0; i < 40; ++i) {
+    agent.Observe({enc, legal[0], -1.0, enc, legal});
+  }
+  for (int i = 0; i < 3; ++i) agent.TrainStep(&rng);
+  EXPECT_EQ(steps.value() - steps0, 3u);
+  EXPECT_GT(step_ns.value(), step_ns0);
 }
 
 class OnlineEnvTest : public ::testing::Test {

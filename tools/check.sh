@@ -56,9 +56,10 @@
 # field at 1/2/8 threads (plus the encoded-pricing and BulkAppend re-seal
 # paths). Bit-packing is exactly the kind of code UBSan exists for.
 #
-# The train preset builds nn_test (the Q-network GEMM kernel and its
-# thread-local pack buffers on 2- and 4-thread pools, checked bit for bit
-# against the scalar loop), rl_test (the serial training loop, replay buffer
+# The train preset builds nn_test (every Q-network GEMM kernel path the CPU
+# has, with its thread-local packed panels and Bᵀ pack buffers, on 2- and
+# 4-thread pools, checked bit for bit against the scalar loop; the masked
+# last layer against a dense step), rl_test (the serial training loop, replay buffer
 # and online environment) and quantized_test (int8/int16 quantization, the
 # serving calibration gate and the batcher's wait-for-window mode) under TSan
 # and runs them.
@@ -74,7 +75,8 @@
 #
 # The perf preset builds Release into build-perf and runs the post-benchmark
 # kernels of bench_micro_components (google benchmarks filtered out): the
-# Q-network kernel (GMAC/s of every GEMM shape of the TPC-CH train step and
+# Q-network kernel (GMAC/s of every GEMM shape of the TPC-CH train step on
+# each kernel path, the dispatched path at 2 threads, and
 # DqnAgent::TrainStep us, serial and at 2 threads), the workload-cost kernel
 # (OfflineEnv::WorkloadCost per step, serial and with the cache misses fanned
 # out on 2 threads) and the engine kernel
